@@ -299,6 +299,7 @@ let persisted_seq t = Option.map (fun c -> c.seq) (Slot.persisted_value t.repp)
 let persisted_value t = Option.map (fun c -> c.v) (Slot.persisted_value t.repp)
 let peek_v t = (Atomic.get t.repv).v
 let peek_p t = (Slot.peek t.repp).v
+let history_length t = Slot.history_length t.repp
 
 (** The durability invariant, safe to sample concurrently: sequence numbers
     only grow, so reading [repv] first and the persisted seq after gives a

@@ -81,6 +81,9 @@ val persisted_value : 'a t -> 'a option
 val peek_v : 'a t -> 'a
 val peek_p : 'a t -> 'a
 
+val history_length : 'a t -> int
+(** Entries in [repp]'s media history ({!Mirror_nvm.Slot.history_length}). *)
+
 val durability_invariant_ok : 'a t -> bool
 (** [seq repv <= persisted seq]; sound to sample concurrently.  A
     [~persist:false] variable that was never written has nothing durable

@@ -468,32 +468,39 @@ let advance_to t ~target =
           t.cur_epoch <- target + 1;
           t.cur_count <- 0
         end;
-        let records = ref [] in
+        (* later domains' records first, each domain's newest first *)
+        let taken = ref [] in
         List.iter
           (fun r ->
             let keep, take =
-              List.partition (fun d -> d.d_epoch > target) !r
+              if List.for_all (fun d -> d.d_epoch <= target) !r then ([], !r)
+              else List.partition (fun d -> d.d_epoch > target) !r
             in
             r := keep;
-            records := take @ !records)
+            if take <> [] then taken := take :: !taken)
           t.domain_deferred;
         Mutex.unlock t.mutex;
+        let records =
+          Array.of_list
+            (match !taken with [ l ] -> l | chunks -> List.concat chunks)
+        in
         if target > t.durable_epoch then begin
-          (if !records <> [] then begin
+          (if Array.length records > 0 then begin
              if !Hooks.access_on then
                announce_epoch t Hooks.A_epoch_close target;
-             (* newest version per slot: batching turns n persists of one
-                line into one flush *)
-             let best : (int, deferred) Hashtbl.t = Hashtbl.create 16 in
-             List.iter
-               (fun d ->
-                 match Hashtbl.find_opt best d.d_uid with
-                 | Some d' when d'.d_ver >= d.d_ver -> ()
-                 | _ -> Hashtbl.replace best d.d_uid d)
-               !records;
-             Hashtbl.fold (fun _ d acc -> d :: acc) best []
-             |> List.sort (fun a b -> compare a.d_uid b.d_uid)
-             |> List.iter (fun d -> d.d_flush ());
+             (* newest version per slot, flushed in uid order: batching
+                turns n persists of one line into one flush.  The sort is
+                stable, so a version recorded twice keeps its first record
+                in [records]. *)
+             Array.stable_sort
+               (fun a b ->
+                 if a.d_uid <> b.d_uid then Int.compare a.d_uid b.d_uid
+                 else Int.compare b.d_ver a.d_ver)
+               records;
+             Array.iteri
+               (fun i d ->
+                 if i = 0 || records.(i - 1).d_uid <> d.d_uid then d.d_flush ())
+               records;
              let s = Stats.get () in
              s.Stats.fence_batched <- s.Stats.fence_batched + 1;
              fence t

@@ -43,11 +43,13 @@ type 'a t = {
   persisted : 'a entry list Atomic.t;
       (** media history, newest (max [ver]) first, kept as the Pareto front
           over (version high, epoch low): an entry is dropped once another
-          entry has both [ver >=] and [ep <=] it.  Strict slots (all
-          [ep = 0]) collapse to at most one entry — the old single
-          [persisted] word.  Buffered slots keep the older durable entry
-          alive until the newer entry's epoch commits, so a crash can roll
-          back to the durable cut. *)
+          entry has both [ver >=] and [ep <=] it, so epochs fall along the
+          list too.  The list is cut at the durable epoch: of the entries
+          tagged [<= Region.durable_epoch] (a suffix) only the first — the
+          one a crash restores — is kept.  Strict slots (all [ep = 0])
+          therefore hold at most one entry, the old single [persisted]
+          word; buffered slots hold the committed entry plus one per
+          uncommitted epoch. *)
   lost : bool Atomic.t;
       (** set when a crash hits a slot that was never persisted: its
           post-crash content is garbage, and any access is a detected bug *)
@@ -78,22 +80,63 @@ let announce t op ~seq =
       a_protocol = Hooks.in_protocol ();
     }
 
+(* [covers e front]: some entry of [front] dominates [e] ([ver >=] and
+   [ep <=]).  Only the entries with [ver >= e.ver] — a prefix — can. *)
+let rec covers e = function
+  | p :: rest when p.ver >= e.ver -> p.ep <= e.ep || covers e rest
+  | _ -> false
+
+(* The front down to its first entry at or below [de]: that entry is the
+   only one of the durable suffix a crash can restore, now or after any
+   later advance ([durable_epoch] never decreases). *)
+let rec cut de = function
+  | p :: rest -> if p.ep <= de then [ p ] else p :: cut de rest
+  | [] -> []
+
+(* Skip the entries [e] dominates once the newer ones are behind: they are
+   the ones with [ep >= e.ep] at the head of the rest. *)
+let rec evict ep = function
+  | p :: rest when p.ep >= ep -> evict ep rest
+  | rest -> rest
+
+(* The entry a crash restores: the first one at or below [de]. *)
+let rec restorable de = function
+  | p :: rest -> if p.ep <= de then Some p else restorable de rest
+  | [] -> None
+
+exception Dominated
+
+(* One pass over the front: the entries newer than [e] stay ahead of it,
+   [e] evicts the entries it dominates, and the result is cut at [de].
+   Raises [Dominated] when the front already dominates [e] — checked to
+   the end even past the cut, so the answer is the uncut front's. *)
+let rec rebuild de e = function
+  | p :: rest when p.ver > e.ver ->
+      if p.ep <= e.ep then raise_notrace Dominated
+      else if p.ep > de then p :: rebuild de e rest
+      else if covers e rest then raise_notrace Dominated
+      else [ p ] (* [e] falls below the restorable entry: cut with it *)
+  | rest ->
+      if covers e rest then raise_notrace Dominated
+      else if e.ep <= de then [ e ]
+      else e :: cut de (evict e.ep rest)
+
+let offer ~durable front e =
+  match rebuild durable e front with
+  | front -> Some front
+  | exception Dominated -> None
+
 (* Write-backs stay monotone per (version, epoch): an offer is dropped when
-   the front already dominates it (an entry with [ver >=] and [ep <=]);
-   otherwise it joins the front and evicts the entries it dominates.  On
-   strict slots (all [ep = 0]) this is exactly the old max-version rule. *)
+   the front already dominates it; otherwise it joins the front and evicts
+   the entries it dominates.  On strict slots (all [ep = 0]) this is
+   exactly the old max-version rule. *)
 let rec persist_monotone t (e : 'a entry) =
   let old = Atomic.get t.persisted in
-  if List.exists (fun p -> p.ver >= e.ver && p.ep <= e.ep) old then ()
-  else begin
-    let kept = List.filter (fun p -> not (p.ver <= e.ver && p.ep >= e.ep)) old in
-    let rec insert = function
-      | p :: rest when p.ver > e.ver -> p :: insert rest
-      | rest -> e :: rest
-    in
-    if not (Atomic.compare_and_set t.persisted old (insert kept)) then
-      persist_monotone t e
-  end
+  match rebuild (Region.durable_epoch t.region) e old with
+  | front ->
+      if not (Atomic.compare_and_set t.persisted old front) then
+        persist_monotone t e
+  | exception Dominated -> ()
 
 let newest_persisted t =
   match Atomic.get t.persisted with [] -> None | p :: _ -> Some p
@@ -128,14 +171,15 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
        they may be part of an inconsistent (torn-epoch) state *)
     let de = Region.durable_epoch region in
     let hist = Atomic.get t.persisted in
-    let rolled_back = List.exists (fun p -> p.ep > de) hist in
-    match List.filter (fun p -> p.ep <= de) hist with
-    | [] ->
+    (* epochs fall along the front: anything above the cut is a prefix *)
+    let rolled_back = match hist with p :: _ -> p.ep > de | [] -> false in
+    match restorable de hist with
+    | None ->
         Atomic.set t.persisted [];
         Atomic.set t.lost true;
         if rolled_back && !Hooks.access_on then
           announce t Hooks.A_rollback ~seq:(-1)
-    | p :: _ ->
+    | Some p ->
         Atomic.set t.persisted [ p ];
         Atomic.set t.current p;
         if rolled_back && !Hooks.access_on then
@@ -351,11 +395,7 @@ let flush t =
    when the front already covers the snapshot (e.g. spontaneous eviction
    beat the advance to it). *)
 let flush_snapshot t snapshot =
-  if
-    Region.elision t.region
-    && List.exists
-         (fun p -> p.ver >= snapshot.ver && p.ep <= snapshot.ep)
-         (Atomic.get t.persisted)
+  if Region.elision t.region && covers snapshot (Atomic.get t.persisted)
   then begin
     Hooks.persist_point Hooks.Flush_elided;
     let s = Stats.get () in
@@ -418,9 +458,7 @@ let persisted_value t = Option.map (fun e -> e.v) (newest_persisted t)
     persisted entry from a committed epoch (test/recovery introspection). *)
 let durable_value t =
   let de = Region.durable_epoch t.region in
-  match List.filter (fun p -> p.ep <= de) (Atomic.get t.persisted) with
-  | [] -> None
-  | p :: _ -> Some p.v
+  Option.map (fun p -> p.v) (restorable de (Atomic.get t.persisted))
 
 (** The coherent (cache) view, without charging costs — test-only. *)
 let peek t = (Atomic.get t.current).v
@@ -430,3 +468,5 @@ let region t = t.region
 let uid t = t.uid
 let pair t = t.pair
 let line t = t.line
+
+let history_length t = List.length (Atomic.get t.persisted)

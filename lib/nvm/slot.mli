@@ -110,3 +110,19 @@ val pair : 'a t -> int
 val line : 'a t -> Region.line option
 (** The cache line this slot was carved from ([None] on slot-granular
     regions and buffered slots). *)
+
+(** {1 The media history (test introspection)} *)
+
+type 'a entry = { v : 'a; ver : int; ep : int }
+(** One media-history entry: the value, its line version and the epoch
+    that wrote it ([0] on strict slots). *)
+
+val offer : durable:int -> 'a entry list -> 'a entry -> 'a entry list option
+(** The write-back rule on a bare history: offering [e] to [front] (newest
+    first, a Pareto front over version high / epoch low) gives the new
+    front, cut at [durable] — of the entries tagged [<= durable] only the
+    first is kept, the only one a crash can restore.  [None] when an entry
+    of [front] already has [ver >=] and [ep <=] those of [e]. *)
+
+val history_length : 'a t -> int
+(** Entries in the slot's media history. *)

@@ -281,6 +281,255 @@ let staleness_bound ds () =
   check !dropped_somewhere
     (Sets.ds_name ds ^ ": some cut actually dropped a deferred tail")
 
+(* -- 5. the media history -------------------------------------------------------- *)
+
+(* A buffered variable written and committed once per epoch keeps at most
+   the committed entry plus the newest one in its media history: entries
+   at or below the durable epoch other than the restorable one are cut. *)
+let test_history_bounded () =
+  let r = Region.create ~epoch_len:8 () in
+  let v = Patomic.make ~discipline:Patomic.Buffered r 0 in
+  let longest = ref 0 in
+  for i = 1 to 1000 do
+    if not (Patomic.cas v ~expected:(i - 1) ~desired:i) then
+      Alcotest.failf "cas %d -> %d failed" (i - 1) i;
+    Region.help_advance r;
+    longest := max !longest (Patomic.history_length v)
+  done;
+  Alcotest.(check int) "one epoch committed per write" 1000
+    (Region.durable_epoch r);
+  check (!longest <= 2)
+    (Printf.sprintf "media history stays at <= 2 entries (longest %d)"
+       !longest)
+
+(* Updates over a fixed key set, arranged so that every round ends with the
+   same contents: remove and re-insert every key.  What the structure
+   retains then depends only on what the slots' histories keep alive. *)
+let test_retained_flat () =
+  let range = 64 in
+  let region = Region.create ~track_slots:false ~epoch_len:16 () in
+  let (module S) = Sets.make Sets.Hash_ds (Support.prim region "buffered") in
+  let t = S.create ~capacity:range () in
+  List.iter (fun k -> ignore (S.insert t k k)) (List.init range Fun.id);
+  Region.quiesce region;
+  let round = ref 0 in
+  let words_at epochs =
+    while Region.durable_epoch region < epochs do
+      incr round;
+      for k = 0 to range - 1 do
+        if not (S.remove t k && S.insert t k (k + !round)) then
+          Alcotest.failf "round %d: key %d not replaced" !round k
+      done
+    done;
+    Region.quiesce region;
+    Obj.reachable_words (Obj.repr t)
+  in
+  let w100 = words_at 100 in
+  let w1000 = words_at 1000 in
+  check
+    (float_of_int (abs (w1000 - w100)) <= 0.05 *. float_of_int w100)
+    (Printf.sprintf
+       "retained words after 100 and 1000 epochs within 5%% (%d vs %d)" w100
+       w1000)
+
+(* The pre-cut write-back rule, composed the long way: drop a dominated
+   offer, else filter out what it dominates, insert it in version order,
+   then keep the entries above the durable epoch and the first one at or
+   below it. *)
+let reference_offer ~durable front (e : int Slot.entry) =
+  let open Slot in
+  if List.exists (fun p -> p.ver >= e.ver && p.ep <= e.ep) front then None
+  else
+    let kept = List.filter (fun p -> not (p.ver <= e.ver && p.ep >= e.ep)) front in
+    let rec insert = function
+      | p :: rest when p.ver > e.ver -> p :: insert rest
+      | rest -> e :: rest
+    in
+    let l = insert kept in
+    let above = List.filter (fun p -> p.ep > durable) l in
+    match List.filter (fun p -> p.ep <= durable) l with
+    | [] -> Some above
+    | p :: _ -> Some (above @ [ p ])
+
+(* A random Pareto front: distinct versions and distinct epochs, both
+   falling along the list. *)
+let gen_offer_case =
+  QCheck.Gen.(
+    let distinct_desc l = List.sort_uniq (fun a b -> compare b a) l in
+    let* vers = list_size (int_bound 6) (int_bound 24) in
+    let* eps = list_size (int_bound 6) (int_bound 10) in
+    let vers = distinct_desc vers and eps = distinct_desc eps in
+    let n = min (List.length vers) (List.length eps) in
+    let take l = List.filteri (fun i _ -> i < n) l in
+    let front =
+      List.map2 (fun ver ep -> { Slot.v = ver; ver; ep }) (take vers) (take eps)
+    in
+    let* ver = int_bound 26 in
+    let* ep = int_bound 12 in
+    let* durable = int_bound 12 in
+    return (front, { Slot.v = -ver; ver; ep }, durable))
+
+let print_offer_case (front, (e : int Slot.entry), durable) =
+  let pe (p : int Slot.entry) = Printf.sprintf "(%d,%d)" p.ver p.ep in
+  Printf.sprintf "front=[%s] offer=%s durable=%d"
+    (String.concat ";" (List.map pe front))
+    (pe e) durable
+
+let prop_offer_matches_reference =
+  QCheck.Test.make ~name:"media history: one-pass offer = filter, insert, cut"
+    ~count:3000
+    (QCheck.make ~print:print_offer_case gen_offer_case)
+    (fun (front, e, durable) ->
+      Slot.offer ~durable front e = reference_offer ~durable front e)
+
+(* The one case the cut can show through: a buffered write made in epoch 1
+   whose persist is delayed until the epoch has committed without it, so
+   its snapshot is flushed (stale) in a later epoch.  Three logical threads
+   under a fixed round-robin schedule:
+   - A CASes 0 -> 1 in epoch 1 and is held right after its [repp] write;
+   - B commits epoch 1 (empty), then epoch 2, releases A, commits epoch 3;
+   - H, once epoch 1 is committed, runs a failing CAS that helps A's write
+     along: its persist records the stale snapshot into epoch 2.
+   A's own persist lands in epoch 3: a second record of the same stale
+   snapshot (elided when elision is on, since the line is clean by then). *)
+type stale_run = {
+  sr_steps : int;
+  sr_completed : bool;
+  sr_stats : Stats.t;
+  sr_recovered : int;
+  sr_model : int;
+  sr_durable : int;  (** durable epoch after the crash *)
+  sr_stale : bool;  (** a flush of the write came after its epoch committed *)
+}
+
+let stale_record_run ~elide ?max_steps () =
+  let r = Region.create ~elide ~epoch_len:64 () in
+  let v = Patomic.make ~discipline:Patomic.Buffered r 0 in
+  let release_a = ref false and a_done = ref false and h_done = ref false in
+  let write_epoch = ref (-1) and flushed = ref false and on_media = ref false in
+  let stale = ref false in
+  let rec wait_until c = if not (c ()) then (Hooks.yield (); wait_until c) in
+  let sink (a : Hooks.access) =
+    match a.Hooks.a_op with
+    | Hooks.A_cas true when a.a_tid = 0 ->
+        write_epoch := Region.cur_epoch r;
+        wait_until (fun () -> !release_a)
+    | Hooks.A_flush ->
+        flushed := true;
+        if !write_epoch >= 0 && Region.durable_epoch r >= !write_epoch then
+          stale := true
+    | Hooks.A_fence -> if !flushed then on_media := true
+    | _ -> ()
+  in
+  let writer () =
+    check (Patomic.cas v ~expected:0 ~desired:1) "A's cas succeeds";
+    a_done := true
+  in
+  let advancer () =
+    wait_until (fun () -> Patomic.seq_p v = 1);
+    Region.help_advance r;
+    wait_until (fun () -> !h_done);
+    Region.help_advance r;
+    release_a := true;
+    wait_until (fun () -> !a_done);
+    Region.help_advance r
+  in
+  let helper () =
+    wait_until (fun () -> Region.durable_epoch r >= 1);
+    check (not (Patomic.cas v ~expected:7 ~desired:8)) "H's cas fails";
+    h_done := true
+  in
+  reset ();
+  let outcome =
+    Hooks.with_access sink (fun () ->
+        Sched.run_with_picker ~pick:(fun n -> n - 1) ?max_steps
+          [ writer; advancer; helper ])
+  in
+  let stats = st () in
+  Region.crash r;
+  Patomic.recover v;
+  Region.mark_recovered r;
+  let durable = Region.durable_epoch r in
+  {
+    sr_steps = outcome.Sched.steps;
+    sr_completed = outcome.Sched.completed;
+    sr_stats = stats;
+    sr_recovered = Patomic.load v;
+    sr_model =
+      (if !on_media && !write_epoch >= 0 && !write_epoch <= durable then 1
+       else 0);
+    sr_durable = durable;
+    sr_stale = !stale;
+  }
+
+let test_stale_record () =
+  List.iter
+    (fun (elide, flushes, elided, deferred) ->
+      let name fmt = Printf.sprintf ("elide=%b: " ^^ fmt) elide in
+      let full = stale_record_run ~elide () in
+      check full.sr_completed (name "the schedule completes");
+      check full.sr_stale (name "the epoch-1 write is flushed after epoch 1");
+      let s = full.sr_stats in
+      Alcotest.(check int) (name "charged flushes") flushes s.Stats.flush;
+      Alcotest.(check int) (name "charged fences") flushes s.Stats.fence;
+      Alcotest.(check int) (name "elided flushes") elided s.Stats.flush_elided;
+      Alcotest.(check int) (name "deferred records") deferred
+        s.Stats.writes_deferred;
+      Alcotest.(check int) (name "epoch advances") 3 s.Stats.epoch_advance;
+      Alcotest.(check int) (name "uncut run recovers the write") 1
+        full.sr_recovered;
+      let early = ref false in
+      for k = 0 to full.sr_steps do
+        let c = stale_record_run ~elide ~max_steps:k () in
+        Alcotest.(check int)
+          (name "cut=%d: recovered value = media model" k)
+          c.sr_model c.sr_recovered;
+        if c.sr_recovered = 1 && c.sr_durable = 1 then early := true
+      done;
+      (* the stale snapshot carries epoch 1, already committed: it is
+         restorable as soon as its fence lands, before epoch 2 commits *)
+      check !early (name "some cut recovers the write at durable epoch 1"))
+    [ (false, 2, 0, 2); (true, 1, 1, 1) ]
+
+(* -- 6. allocation gate ------------------------------------------------------------ *)
+
+(* Minor-heap words allocated per op by a one-domain buffered hash over a
+   fixed seeded stream of updates (epoch length 256, 1024 keys half full).
+   The count is exact for a fixed op count, so the gate is deterministic;
+   the bound is the measured value plus 10%. *)
+let buffered_words_per_op_bound = 97.7977 *. 1.10
+
+let buffered_words_per_op () =
+  let range = 1024 and warm = 2_000 and n = 20_000 in
+  let region = Region.create ~track_slots:false ~epoch_len:256 () in
+  let (module S) = Sets.make Sets.Hash_ds (Support.prim region "buffered") in
+  let t = S.create ~capacity:range () in
+  List.iter (fun k -> ignore (S.insert t k k)) (W.prefill_keys ~range);
+  Region.quiesce region;
+  let rng = Rng.create 42 in
+  let ops =
+    Array.init (warm + n) (fun _ -> W.gen rng (W.of_updates 100) ~range)
+  in
+  let run lo hi =
+    for i = lo to hi - 1 do
+      match ops.(i) with
+      | W.Lookup k -> ignore (S.contains t k)
+      | Insert (k, _) -> ignore (S.insert t k i)
+      | Remove k -> ignore (S.remove t k)
+    done
+  in
+  (* the first ops touch the region's per-domain caches: keep them out *)
+  run 0 warm;
+  let w0 = Gc.minor_words () in
+  run warm (warm + n);
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_words_per_op_gate () =
+  let w = buffered_words_per_op () in
+  check (w <= buffered_words_per_op_bound)
+    (Printf.sprintf "buffered hash allocates %.6f words/op, bound %.4f" w
+       buffered_words_per_op_bound)
+
 let suite =
   [
     ( "buffered",
@@ -318,5 +567,11 @@ let suite =
           (staleness_bound Sets.Bst_ds);
         Alcotest.test_case "staleness bound skiplist" `Slow
           (staleness_bound Sets.Skiplist_ds);
+        Alcotest.test_case "media history bounded" `Quick test_history_bounded;
+        Alcotest.test_case "retained words flat over epochs" `Quick
+          test_retained_flat;
+        QCheck_alcotest.to_alcotest prop_offer_matches_reference;
+        Alcotest.test_case "stale record crash sweep" `Quick test_stale_record;
+        Alcotest.test_case "words/op gate" `Quick test_words_per_op_gate;
       ] );
   ]
