@@ -53,12 +53,13 @@ test-stress: build
 bench:
 	dune exec bench/main.exe
 
-# CI-speed pass that also enforces the committed flush/fence ceilings:
-# exits non-zero if any Mirror algorithm exceeds bench/budgets.csv — the
-# strict per-structure ceilings, the recovery/alloc speedup floors, and the
-# buffered-panel fence ceilings + reduction floors alike.  Panel CSVs
-# (bench_smoke_elision/recovery/alloc/buffered.csv) land next to the main
-# CSV for CI to archive.
+# CI-speed pass that also enforces bench/budgets.csv: one checker gates
+# every panel's lines (panel,selector,metric,op,bound) — the strict
+# flush/fence ceilings, the recovery/alloc/scaling speedup floors, the
+# buffered fence ceilings + reduction floors and the line flush-reduction
+# floors alike — and exits non-zero on a breach or on a malformed,
+# unknown or unmatched line.  Panel CSVs (bench_smoke_<panel>.csv) land
+# next to the main CSV for CI to archive.
 bench-smoke:
 	@mkdir -p $(ARTIFACTS)
 	dune exec bench/main.exe -- --smoke --no-micro --no-ablation \

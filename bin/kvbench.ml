@@ -34,12 +34,29 @@ let make_engine name =
   in
   { name; pack }
 
+(* nanoseconds on the monotonic clock (CLOCK_MONOTONIC, via bechamel) *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
+(* the smallest non-zero step between back-to-back clock reads: what the
+   percentile columns can resolve *)
+let clock_resolution_ns () =
+  let best = ref max_int in
+  for _ = 1 to 1000 do
+    let t0 = now_ns () in
+    let t1 = ref (now_ns ()) in
+    while !t1 = t0 do
+      t1 := now_ns ()
+    done;
+    best := min !best (!t1 - t0)
+  done;
+  !best
+
 (* one timed phase: [threads] domains each performing [per_thread] ops,
    with per-op latency sampled per domain (monotonic clock around each op,
    merged and sorted once at the end for the percentile columns) *)
 let phase ~threads ~per_thread ~(op : Rng.t -> int -> unit) =
   let ready = Atomic.make 0 and go = Atomic.make false in
-  let lat = Array.init threads (fun _ -> Array.make per_thread 0.) in
+  let lat = Array.init threads (fun _ -> Array.make per_thread 0) in
   let body i () =
     let rng = Rng.split ~seed:4242 i in
     let mine = lat.(i) in
@@ -48,9 +65,9 @@ let phase ~threads ~per_thread ~(op : Rng.t -> int -> unit) =
       Domain.cpu_relax ()
     done;
     for j = 1 to per_thread do
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_ns () in
       op rng ((i * per_thread) + j);
-      mine.(j - 1) <- Unix.gettimeofday () -. t0
+      mine.(j - 1) <- now_ns () - t0
     done
   in
   let doms = Array.init threads (fun i -> Domain.spawn (body i)) in
@@ -63,13 +80,14 @@ let phase ~threads ~per_thread ~(op : Rng.t -> int -> unit) =
   Array.iter Domain.join doms;
   let dt = Unix.gettimeofday () -. t0 in
   let all = Array.concat (Array.to_list lat) in
-  Array.sort compare all;
+  Array.sort Int.compare all;
   (dt, threads * per_thread, all)
 
-(* [p] is in per-mille so the tail column can ask for p999 *)
+(* [p] is in per-mille so the tail column can ask for p999; in micros *)
 let permille sorted p =
   let n = Array.length sorted in
-  if n = 0 then 0. else sorted.(min (n - 1) (n * p / 1000))
+  if n = 0 then 0.
+  else float_of_int sorted.(min (n - 1) (n * p / 1000)) /. 1e3
 
 let report name dt ops lat =
   let st = Mirror_nvm.Stats.total () in
@@ -79,9 +97,7 @@ let report name dt ops lat =
      ops/sec;  nvmR/op=%.2f nvmW/op=%.2f fl/op=%.2f fe/op=%.2f\n%!"
     name
     (dt *. 1e6 /. fops)
-    (permille lat 500 *. 1e6)
-    (permille lat 990 *. 1e6)
-    (permille lat 999 *. 1e6)
+    (permille lat 500) (permille lat 990) (permille lat 999)
     (fops /. dt)
     (float_of_int st.Mirror_nvm.Stats.nvm_read /. fops)
     (float_of_int (st.Mirror_nvm.Stats.nvm_write + st.Mirror_nvm.Stats.nvm_cas) /. fops)
@@ -95,6 +111,9 @@ let main engine_name num threads benchmarks latency =
   let t = S.create ~capacity:num () in
   Printf.printf "engine=%s num=%d threads=%d value=8B key=8B\n%!" e.name num
     threads;
+  Printf.printf "clock: monotonic, resolution %d ns (smallest step of 1000 \
+                 back-to-back reads)\n%!"
+    (clock_resolution_ns ());
   let per_thread = max 1 (num / threads) in
   let run_one = function
     | "fillseq" ->

@@ -16,7 +16,8 @@
       the strict rule set over the same buffered execution must flag the
       deferred tail as V2 while the buffered rule set stays silent;
    4. overhead — the sanitized reference run of a smoke workload must stay
-      within --max-overhead (default 3x) of the unsanitized run;
+      within --max-overhead (default 3x) of the unsanitized run, comparing
+      each side's minimum CPU time over five alternating repetitions;
    5. W1 lint — the per-configuration redundant-persist counters are
       written to --csv (uploaded by CI next to the bench CSV artifact) so
       elision budgets can be tracked over time. *)
@@ -182,10 +183,12 @@ let buffered_checks ~seeds =
 
 (* -- 3. overhead ------------------------------------------------------------ *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
+(* CPU seconds of [f ()], so time the machine spends on other work counts
+   against neither side *)
+let cpu_time f =
+  let t0 = Sys.time () in
   f ();
-  Unix.gettimeofday () -. t0
+  Sys.time () -. t0
 
 let overhead_check ~max_overhead =
   let sc = scenario ~ds:Sets.Skiplist_ds ~prim:"mirror" ~elide:false
@@ -204,11 +207,22 @@ let overhead_check ~max_overhead =
   in
   (* warm up allocators and code paths before timing *)
   baseline ();
-  let base = max (time baseline) 1e-4 in
-  let san = time sanitized in
+  (* five alternating repetitions per side; each side's minimum is its
+     least disturbed run, and the two minima are compared *)
+  let samples =
+    List.init 5 (fun i ->
+        let b = cpu_time baseline in
+        let s = cpu_time sanitized in
+        Format.printf "overhead sample %d: baseline %.3fs, sanitized %.3fs@."
+          (i + 1) b s;
+        (b, s))
+  in
+  let least f = List.fold_left (fun m x -> Float.min m (f x)) Float.infinity samples in
+  let base = max (least fst) 1e-4 in
+  let san = least snd in
   let factor = san /. base in
-  Format.printf "overhead: baseline %.3fs, sanitized %.3fs, factor %.2fx \
-                 (budget %.1fx)@."
+  Format.printf "overhead: min CPU baseline %.3fs, sanitized %.3fs, factor \
+                 %.2fx (budget %.1fx)@."
     base san factor max_overhead;
   if factor > max_overhead then
     fail "sanitizer overhead %.2fx exceeds the %.1fx budget" factor
@@ -262,7 +276,9 @@ let max_overhead =
   Arg.(
     value & opt float 3.0
     & info [ "max-overhead" ] ~docv:"X"
-        ~doc:"Maximum allowed sanitized/unsanitized wall-clock ratio.")
+        ~doc:
+          "Maximum allowed sanitized/unsanitized ratio of the per-side \
+           minimum CPU time over five alternating repetitions.")
 
 let cmd =
   Cmd.v

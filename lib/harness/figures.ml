@@ -164,11 +164,17 @@ let figure7 cfg =
 
 let all_panels cfg = figure6 cfg @ figure7 cfg
 
-type row = { panel : panel; x : int; point : Runner.point }
+let num d v = Row.Num (d, v)
 
-(** Run one panel; returns a row per (x-value, algorithm). *)
+(* a count per completed operation, at the panels' 4-decimal precision *)
+let per_op fops n = num 4 (float_of_int n /. fops)
+
+(** Run one panel; returns a row per (x-value, algorithm).  The columns
+    are the schema-v2 CSV of EXPERIMENTS.md tooling: the trailing
+    epoch-clock columns joined with the buffered discipline and are 0 for
+    every strict algorithm. *)
 let run_panel ?(progress = fun (_ : string) -> ()) (cfg : config) (panel : panel)
-    : row list =
+    : Row.t list =
   let xs =
     match panel.axis with
     | Threads -> cfg.threads_axis
@@ -198,59 +204,43 @@ let run_panel ?(progress = fun (_ : string) -> ()) (cfg : config) (panel : panel
               progress
                 (Printf.sprintf "panel %s x=%d algo=%s" panel.id x
                    (algo_name algo));
-              let point =
+              let p =
                 Runner.run ~seconds:cfg.seconds ~llc_bytes:cfg.llc_bytes
                   ~threads ~range ~mix
                   (module S)
               in
-              Some { panel; x; point })
+              let o = p.Runner.per_op in
+              Some
+                {
+                  Row.panel = "figure";
+                  keys =
+                    [
+                      ("panel", Row.Str panel.id);
+                      ("ds", Row.Str (Sets.ds_name panel.ds));
+                      ("algo", Row.Str p.Runner.algo);
+                      ("x", Row.Int x);
+                      ("threads", Row.Int p.Runner.threads);
+                    ];
+                  metrics =
+                    [
+                      ("mops", num 4 p.Runner.mops);
+                      ("modeled_mops", num 3 p.Runner.modeled_mops);
+                      ("nvm_reads_per_op", num 2 o.Runner.nvm_reads);
+                      ("nvm_writes_per_op", num 3 o.Runner.nvm_writes);
+                      ("flushes_per_op", num 3 o.Runner.flushes);
+                      ("fences_per_op", num 3 o.Runner.fences);
+                      ("flushes_elided_per_op", num 3 o.Runner.flushes_elided);
+                      ("fences_elided_per_op", num 3 o.Runner.fences_elided);
+                      ("epoch_advances_per_op", num 4 o.Runner.epoch_advances);
+                      ("fences_batched_per_op", num 4 o.Runner.fences_batched);
+                      ( "writes_deferred_per_op",
+                        num 3 o.Runner.writes_deferred );
+                    ];
+                })
         panel.algos)
     xs
 
-let pp_row ppf r =
-  Format.fprintf ppf "%-3s x=%-8d %a" r.panel.id r.x Runner.pp_point r.point
-
-(** CSV-ish row used by EXPERIMENTS.md tooling (schema v2: the trailing
-    epoch-clock columns joined with the buffered discipline; they are 0
-    for every strict algorithm). *)
-let row_to_csv r =
-  Printf.sprintf
-    "%s,%s,%s,%d,%d,%.4f,%.3f,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,%.4f,%.3f"
-    r.panel.id (Sets.ds_name r.panel.ds) r.point.Runner.algo r.x
-    r.point.Runner.threads r.point.Runner.mops r.point.Runner.modeled_mops
-    r.point.Runner.per_op.Runner.nvm_reads
-    r.point.Runner.per_op.Runner.nvm_writes r.point.Runner.per_op.Runner.flushes
-    r.point.Runner.per_op.Runner.fences
-    r.point.Runner.per_op.Runner.flushes_elided
-    r.point.Runner.per_op.Runner.fences_elided
-    r.point.Runner.per_op.Runner.epoch_advances
-    r.point.Runner.per_op.Runner.fences_batched
-    r.point.Runner.per_op.Runner.writes_deferred
-
-let csv_header =
-  "panel,ds,algo,x,threads,mops,modeled_mops,nvm_reads_per_op,nvm_writes_per_op,flushes_per_op,fences_per_op,flushes_elided_per_op,fences_elided_per_op,epoch_advances_per_op,fences_batched_per_op,writes_deferred_per_op"
-
 (* -- elision panel: flush/fence elision on vs off ------------------------- *)
-
-(** One measurement of the elision panel: a Mirror data structure driven by
-    contended logical threads under the deterministic scheduler, with the
-    region's flush/fence elision either off (the seed's exact charged costs)
-    or on.  The scheduler is what actually interleaves operations on this
-    one-core box, so this is where the helping/retry paths that elision
-    targets really fire; the per-op charged counts are exact, deterministic
-    and directly comparable between the two modes (elision changes no
-    control flow, it only reclassifies redundant persisting instructions as
-    elided). *)
-type elision_point = {
-  e_ds : string;
-  e_elide : bool;
-  e_ops : int;  (** completed operations, summed over seeds *)
-  e_flushes : float;  (** charged flushes per op *)
-  e_fences : float;  (** charged fences per op *)
-  e_flushes_elided : float;
-  e_fences_elided : float;
-  e_helps : float;  (** helping-path executions per op *)
-}
 
 (** The eight Mirror-transformed structures of the elision panel: the four
     set structures of the paper's evaluation plus the queue, stack and
@@ -338,8 +328,17 @@ let contended_tasks ds ~threads ~ops_per_task region seed =
   | "counter" -> counter_driver ()
   | s -> invalid_arg ("contended_tasks: unknown structure " ^ s)
 
+(** One measurement of the elision panel: a Mirror data structure driven by
+    contended logical threads under the deterministic scheduler, with the
+    region's flush/fence elision either off (the seed's exact charged costs)
+    or on.  The scheduler is what actually interleaves operations on this
+    one-core box, so this is where the helping/retry paths that elision
+    targets really fire; the per-op charged counts are exact, deterministic
+    and directly comparable between the two modes (elision changes no
+    control flow, it only reclassifies redundant persisting instructions as
+    elided). *)
 let run_elision_panel ?(threads = 4) ?(ops_per_task = 40) ?(seeds = 8) () :
-    elision_point list =
+    Row.t list =
   let run_one name elide =
     let acc = Mirror_nvm.Stats.zero () in
     let ops = ref 0 in
@@ -353,62 +352,43 @@ let run_elision_panel ?(threads = 4) ?(ops_per_task = 40) ?(seeds = 8) () :
       Mirror_nvm.Stats.add ~into:acc (Mirror_nvm.Stats.total ());
       ops := !ops + (threads * ops_per_task)
     done;
-    let fops = float_of_int (max 1 !ops) in
+    let per = per_op (float_of_int (max 1 !ops)) in
     {
-      e_ds = name;
-      e_elide = elide;
-      e_ops = !ops;
-      e_flushes = float_of_int acc.Mirror_nvm.Stats.flush /. fops;
-      e_fences = float_of_int acc.Mirror_nvm.Stats.fence /. fops;
-      e_flushes_elided =
-        float_of_int acc.Mirror_nvm.Stats.flush_elided /. fops;
-      e_fences_elided = float_of_int acc.Mirror_nvm.Stats.fence_elided /. fops;
-      e_helps = float_of_int acc.Mirror_nvm.Stats.help /. fops;
+      Row.panel = "elision";
+      keys = [ ("ds", Row.Str name); ("elide", Row.Bool elide) ];
+      metrics =
+        [
+          ("ops", Row.Int !ops);
+          ("flushes_per_op", per acc.Mirror_nvm.Stats.flush);
+          ("fences_per_op", per acc.Mirror_nvm.Stats.fence);
+          ("flushes_elided_per_op", per acc.Mirror_nvm.Stats.flush_elided);
+          ("fences_elided_per_op", per acc.Mirror_nvm.Stats.fence_elided);
+          ("helps_per_op", per acc.Mirror_nvm.Stats.help);
+        ];
     }
   in
   List.concat_map
     (fun name -> [ run_one name false; run_one name true ])
     elision_structures
 
-let elision_csv_header =
-  "ds,elide,ops,flushes_per_op,fences_per_op,flushes_elided_per_op,fences_elided_per_op,helps_per_op"
-
-let elision_point_to_csv p =
-  Printf.sprintf "%s,%b,%d,%.4f,%.4f,%.4f,%.4f,%.4f" p.e_ds p.e_elide p.e_ops
-    p.e_flushes p.e_fences p.e_flushes_elided p.e_fences_elided p.e_helps
-
 (* -- buffered panel: epoch-batched persistence vs strict Mirror ------------ *)
-
-(** The headline measurement of the buffered discipline: the same
-    contended schedsim workload run under strict Mirror and under the
-    buffered discipline at several epoch lengths, with exact deterministic
-    charged counts.  [b_strict_fences] is the strict baseline of the same
-    (structure, threads) cell, so each row carries its own fence-reduction
-    ratio; the open epoch is drained ({!Mirror_nvm.Region.quiesce}) before
-    counters are read, so the deferred tail's batch fence is charged to
-    the run that produced it. *)
-type buffered_point = {
-  b_ds : string;
-  b_threads : int;
-  b_epoch_len : int;  (** deferred persists per epoch *)
-  b_ops : int;  (** completed operations, summed over seeds *)
-  b_strict_fences : float;  (** strict Mirror fences per op (baseline) *)
-  b_fences : float;  (** buffered charged fences per op *)
-  b_fence_reduction : float;  (** strict / buffered fences per op *)
-  b_flushes : float;  (** buffered charged flushes per op *)
-  b_epoch_advances : float;
-  b_fences_batched : float;
-  b_writes_deferred : float;
-}
 
 (** The four structures of the buffered panel: the two paper set
     structures where fence cost dominates plus the queue and stack of the
     generality claim. *)
 let buffered_structures = [ "list"; "hash"; "queue"; "stack" ]
 
+(** The headline measurement of the buffered discipline: the same
+    contended schedsim workload run under strict Mirror and under the
+    buffered discipline at several epoch lengths, with exact deterministic
+    charged counts.  [strict_fences_per_op] is the strict baseline of the
+    same (structure, threads) cell, so each row carries its own
+    fence-reduction ratio; the open epoch is drained
+    ({!Mirror_nvm.Region.quiesce}) before counters are read, so the
+    deferred tail's batch fence is charged to the run that produced it. *)
 let run_buffered_panel ?(threads_points = [ 1; 2; 4; 8; 16 ])
     ?(epoch_lens = [ 1; 16; 256 ]) ?(ops_per_task = 40) ?(seeds = 4) () :
-    buffered_point list =
+    Row.t list =
   let module W = Mirror_workload.Workload in
   let module Rng = Mirror_workload.Rng in
   let set_driver ds ~prim ~threads region seed =
@@ -493,67 +473,55 @@ let run_buffered_panel ?(threads_points = [ 1; 2; 4; 8; 16 ])
                 measure name ~prim:"buffered" ~threads ~epoch_len
               in
               let fops = float_of_int bops in
+              let per = per_op fops in
               let fences =
                 float_of_int buf.Mirror_nvm.Stats.fence /. fops
               in
               {
-                b_ds = name;
-                b_threads = threads;
-                b_epoch_len = epoch_len;
-                b_ops = bops;
-                b_strict_fences = strict_fences;
-                b_fences = fences;
-                b_fence_reduction =
-                  (if fences > 0. then strict_fences /. fences
-                   else Float.infinity);
-                b_flushes = float_of_int buf.Mirror_nvm.Stats.flush /. fops;
-                b_epoch_advances =
-                  float_of_int buf.Mirror_nvm.Stats.epoch_advance /. fops;
-                b_fences_batched =
-                  float_of_int buf.Mirror_nvm.Stats.fence_batched /. fops;
-                b_writes_deferred =
-                  float_of_int buf.Mirror_nvm.Stats.writes_deferred /. fops;
+                Row.panel = "buffered";
+                keys =
+                  [
+                    ("ds", Row.Str name);
+                    ("threads", Row.Int threads);
+                    ("epoch_len", Row.Int epoch_len);
+                  ];
+                metrics =
+                  [
+                    ("ops", Row.Int bops);
+                    ("strict_fences_per_op", num 4 strict_fences);
+                    ("fences_per_op", num 4 fences);
+                    ( "fence_reduction",
+                      num 2
+                        (if fences > 0. then strict_fences /. fences
+                         else Float.infinity) );
+                    ("flushes_per_op", per buf.Mirror_nvm.Stats.flush);
+                    ( "epoch_advances_per_op",
+                      per buf.Mirror_nvm.Stats.epoch_advance );
+                    ( "fences_batched_per_op",
+                      per buf.Mirror_nvm.Stats.fence_batched );
+                    ( "writes_deferred_per_op",
+                      per buf.Mirror_nvm.Stats.writes_deferred );
+                  ];
               })
             epoch_lens)
         threads_points)
     buffered_structures
-
-let buffered_csv_header =
-  "ds,threads,epoch_len,ops,strict_fences_per_op,fences_per_op,fence_reduction,flushes_per_op,epoch_advances_per_op,fences_batched_per_op,writes_deferred_per_op"
-
-let buffered_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%d,%.4f,%.4f,%.2f,%.4f,%.4f,%.4f,%.4f" p.b_ds
-    p.b_threads p.b_epoch_len p.b_ops p.b_strict_fences p.b_fences
-    p.b_fence_reduction p.b_flushes p.b_epoch_advances p.b_fences_batched
-    p.b_writes_deferred
 
 (* -- recovery panel ---------------------------------------------------------------- *)
 
 (** Recovery latency vs live-object count x worker count over the raw
     persistent heap ({!Mirror_nvmheap.Heap}).  Two metrics per cell:
 
-    - [rp_wall_ms]: measured wall clock of {!Mirror_nvmheap.Heap.recover}
+    - [wall_ms]: measured wall clock of {!Mirror_nvmheap.Heap.recover}
       with real [Domain.spawn] workers — honest, but on a one-core box
       parallel wall time cannot beat sequential;
-    - [rp_model_ms]: the modeled latency on a machine with one core per
+    - [model_ms]: the modeled latency on a machine with one core per
       worker.  The same worker closures run under the deterministic
       scheduler (so the work split is reproducible anywhere), and each
       worker's node/header tallies are priced at the configured NVMM read
       latency; the phase cost is the {e maximum} worker's cost — the
-      critical path.  The speedup budget in bench/budgets.csv gates this
-      metric. *)
-type recovery_point = {
-  rp_shape : string;
-  rp_live : int;  (** live objects in the recovered heap *)
-  rp_garbage : int;  (** unreachable blocks the sweep must reclaim *)
-  rp_domains : int;
-  rp_wall_ms : float;
-  rp_model_ms : float;
-  rp_marked : int;  (** nodes traced (duplicates included) *)
-  rp_swept : int;
-  rp_steals : int;
-}
-
+      critical path.  [speedup] divides the [domains=1] model by this
+      row's; the speedup budget in bench/budgets.csv gates it. *)
 let model_ms_of (r : Mirror_nvmheap.Heap.recovery_stats) =
   let cfg = Mirror_nvm.Latency.get_config () in
   let critical arr = Array.fold_left max 0 arr in
@@ -567,7 +535,7 @@ let model_ms_of (r : Mirror_nvmheap.Heap.recovery_stats) =
 
 let run_recovery_panel ?(shapes = [ Mirror_nvmheap.Shapes.Forest ])
     ?(live_points = [ 10_000; 100_000 ]) ?(domain_points = [ 1; 2; 4 ]) () :
-    recovery_point list =
+    Row.t list =
   let module H = Mirror_nvmheap.Heap in
   let module Sh = Mirror_nvmheap.Shapes in
   List.concat_map
@@ -582,43 +550,62 @@ let run_recovery_panel ?(shapes = [ Mirror_nvmheap.Shapes.Forest ])
           let built =
             Sh.build ~shape ~garbage_ratio ~durable:false ~seed:42 ~live heap
           in
+          let cells =
+            List.map
+              (fun domains ->
+                (* wall clock with real domains *)
+                let t0 = Unix.gettimeofday () in
+                H.recover ~domains heap ~trace:built.Sh.trace;
+                let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+                let wall_stats = Option.get (H.last_recovery heap) in
+                (* deterministic work split under the cooperative scheduler *)
+                let runner tasks =
+                  ignore (Mirror_schedsim.Sched.run ~seed:1 tasks)
+                in
+                H.recover ~domains ~runner heap ~trace:built.Sh.trace;
+                let sim_stats = Option.get (H.last_recovery heap) in
+                (domains, wall_ms, wall_stats, sim_stats))
+              domain_points
+          in
+          let base =
+            match List.find_opt (fun (d, _, _, _) -> d = 1) cells with
+            | Some (_, _, _, sim) -> model_ms_of sim
+            | None -> invalid_arg "run_recovery_panel: domain_points lacks 1"
+          in
           List.map
-            (fun domains ->
-              (* wall clock with real domains *)
-              let t0 = Unix.gettimeofday () in
-              H.recover ~domains heap ~trace:built.Sh.trace;
-              let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-              let wall_stats = Option.get (H.last_recovery heap) in
-              (* deterministic work split under the cooperative scheduler *)
-              let runner tasks =
-                ignore (Mirror_schedsim.Sched.run ~seed:1 tasks)
-              in
-              H.recover ~domains ~runner heap ~trace:built.Sh.trace;
-              let sim_stats = Option.get (H.last_recovery heap) in
+            (fun (domains, wall_ms, wall_stats, sim_stats) ->
+              let model_ms = model_ms_of sim_stats in
               {
-                rp_shape = Sh.shape_name shape;
-                rp_live = live;
-                rp_garbage = List.length built.Sh.garbage;
-                rp_domains = domains;
-                rp_wall_ms = wall_ms;
-                rp_model_ms = model_ms_of sim_stats;
-                rp_marked = wall_stats.H.r_marked;
-                rp_swept = wall_stats.H.r_swept;
-                rp_steals = sim_stats.H.r_steals;
+                Row.panel = "recovery";
+                keys =
+                  [
+                    ("shape", Row.Str (Sh.shape_name shape));
+                    ("live", Row.Int live);
+                    ("garbage", Row.Int (List.length built.Sh.garbage));
+                    ("domains", Row.Int domains);
+                  ];
+                metrics =
+                  [
+                    ("wall_ms", num 3 wall_ms);
+                    ("model_ms", num 3 model_ms);
+                    ("marked", Row.Int wall_stats.H.r_marked);
+                    ("swept", Row.Int wall_stats.H.r_swept);
+                    ("steals", Row.Int sim_stats.H.r_steals);
+                    ( "speedup",
+                      num 2
+                        (if model_ms > 0. then base /. model_ms
+                         else Float.infinity) );
+                  ];
               })
-            domain_points)
+            cells)
         live_points)
     shapes
 
-let recovery_csv_header =
-  "shape,live,garbage,domains,wall_ms,model_ms,marked,swept,steals"
-
-let recovery_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%d,%.3f,%.3f,%d,%d,%d" p.rp_shape p.rp_live
-    p.rp_garbage p.rp_domains p.rp_wall_ms p.rp_model_ms p.rp_marked
-    p.rp_swept p.rp_steals
-
 (* -- alloc panel -------------------------------------------------------------------- *)
+
+let alloc_policy_name = function
+  | Mirror_nvmheap.Heap.Sharded -> "sharded"
+  | Mirror_nvmheap.Heap.Global_lock -> "lock"
 
 (** Allocator throughput: the sharded arenas against the old global-lock
     allocator on an alloc/free-heavy workload (no data-structure traffic),
@@ -626,35 +613,18 @@ let recovery_point_to_csv p =
     Each fiber allocates into its own pool and frees from its neighbour's,
     so the sharded remote-free path genuinely fires.
 
-    [ap_mops] is modeled, not wall clock: the charged NVMM events of the
-    run (header writes, flushes, fences — exact and deterministic) are
+    [modeled_mops] is modeled, not wall clock: the charged NVMM events of
+    the run (header writes, flushes, fences — exact and deterministic) are
     priced at the configured latencies and split Amdahl-style.  Under
     {!Mirror_nvmheap.Heap.Global_lock} every persist happens while holding
     the one allocator lock, so the whole priced cost is serial; under
     {!Mirror_nvmheap.Heap.Sharded} no persist happens under any shared
     lock, so it divides across threads.  Volatile bookkeeping is priced at
-    [base_op_ns] per operation and always divides.  The speedup budget in
-    bench/budgets.csv gates the sharded/lock ratio of this metric. *)
-type alloc_point = {
-  ap_policy : string;  (** "sharded" or "lock" *)
-  ap_threads : int;
-  ap_ops : int;  (** alloc + free operations, summed over seeds *)
-  ap_mops : float;  (** modeled throughput (see above) *)
-  ap_wall_ms : float;  (** measured wall clock of the schedsim runs *)
-  ap_carves : int;  (** chunks carved off the global bump pointer *)
-  ap_remote_frees : int;  (** frees routed to another thread's arena *)
-  ap_drains : int;  (** non-empty remote-free-list drains *)
-  ap_flushes : float;  (** charged flushes per op *)
-  ap_fences : float;  (** charged fences per op *)
-}
-
-let alloc_policy_name = function
-  | Mirror_nvmheap.Heap.Sharded -> "sharded"
-  | Mirror_nvmheap.Heap.Global_lock -> "lock"
-
+    [base_op_ns] per operation and always divides.  [speedup] is the ratio
+    over the lock row of the same thread count; the speedup budget in
+    bench/budgets.csv gates it on the sharded rows. *)
 let run_alloc_panel ?(threads_points = [ 1; 2; 4; 8; 16 ])
-    ?(ops_per_task = 400) ?(seeds = 4) ?(base_op_ns = 20) () : alloc_point list
-    =
+    ?(ops_per_task = 400) ?(seeds = 4) ?(base_op_ns = 20) () : Row.t list =
   let module H = Mirror_nvmheap.Heap in
   let module Rng = Mirror_workload.Rng in
   let run_one policy threads =
@@ -715,34 +685,50 @@ let run_alloc_panel ?(threads_points = [ 1; 2; 4; 8; 16 ])
       +. ((parallel +. (float_of_int base_op_ns *. fops))
          /. float_of_int threads)
     in
-    {
-      ap_policy = alloc_policy_name policy;
-      ap_threads = threads;
-      ap_ops = !ops;
-      ap_mops = fops /. elapsed_ns *. 1e3;
-      ap_wall_ms = !wall;
-      ap_carves = acc.Mirror_nvm.Stats.alloc_carve;
-      ap_remote_frees = acc.Mirror_nvm.Stats.alloc_remote_free;
-      ap_drains = acc.Mirror_nvm.Stats.alloc_remote_drain;
-      ap_flushes = float_of_int acc.Mirror_nvm.Stats.flush /. fops;
-      ap_fences = float_of_int acc.Mirror_nvm.Stats.fence /. fops;
-    }
+    let mops = fops /. elapsed_ns *. 1e3 in
+    let per = per_op fops in
+    ( mops,
+      fun ~lock_mops ->
+        {
+          Row.panel = "alloc";
+          keys =
+            [
+              ("policy", Row.Str (alloc_policy_name policy));
+              ("threads", Row.Int threads);
+            ];
+          metrics =
+            [
+              ("ops", Row.Int !ops);
+              ("modeled_mops", num 3 mops);
+              ("wall_ms", num 3 !wall);
+              ("carves", Row.Int acc.Mirror_nvm.Stats.alloc_carve);
+              ("remote_frees", Row.Int acc.Mirror_nvm.Stats.alloc_remote_free);
+              ("drains", Row.Int acc.Mirror_nvm.Stats.alloc_remote_drain);
+              ("flushes_per_op", per acc.Mirror_nvm.Stats.flush);
+              ("fences_per_op", per acc.Mirror_nvm.Stats.fence);
+              ("speedup", num 2 (mops /. lock_mops));
+            ];
+        } )
   in
   List.concat_map
     (fun threads ->
-      [ run_one Mirror_nvmheap.Heap.Global_lock threads;
-        run_one Mirror_nvmheap.Heap.Sharded threads ])
+      let lock_mops, lock = run_one H.Global_lock threads in
+      let _, sharded = run_one H.Sharded threads in
+      [ lock ~lock_mops; sharded ~lock_mops ])
     threads_points
 
-let alloc_csv_header =
-  "policy,threads,ops,modeled_mops,wall_ms,carves,remote_frees,drains,flushes_per_op,fences_per_op"
-
-let alloc_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%.3f,%.3f,%d,%d,%d,%.4f,%.4f" p.ap_policy
-    p.ap_threads p.ap_ops p.ap_mops p.ap_wall_ms p.ap_carves p.ap_remote_frees
-    p.ap_drains p.ap_flushes p.ap_fences
-
 (* -- line panel: cache-line coalescing of flushes --------------------------- *)
+
+(** The slots-per-line sweep of the line panel; also the exact vocabulary
+    the [--slots-per-line] flags of bench/main.exe and bin/mcheck.exe
+    accept (both exit 2 listing it on anything else). *)
+let line_slots = [ 1; 4; 8 ]
+
+(** The three multi-field structures of the line panel: the linked list
+    (one fresh field per insert, chained to the predecessor's line), the
+    external BST (two fresh edge fields per insert) and the skip list
+    (one fresh field per level). *)
+let line_structures = [ "list"; "bst"; "skiplist" ]
 
 (** The line-coalescing panel: insert-heavy Mirror workloads at several
     [slots_per_line] settings.  Insertions allocate one or more repp
@@ -758,30 +744,8 @@ let alloc_point_to_csv p =
     map targets.  Counts are exact and deterministic; every structure's
     slots=1 row doubles as its own baseline, so each wider row carries
     its flush-reduction ratio. *)
-type line_point = {
-  lp_ds : string;
-  lp_slots : int;  (** region slots_per_line for this row *)
-  lp_ops : int;  (** completed operations, summed over seeds *)
-  lp_flushes : float;  (** charged flushes per op *)
-  lp_coalesced : float;  (** line-coalesced (uncharged) flushes per op *)
-  lp_fences : float;  (** charged fences per op *)
-  lp_baseline_flushes : float;  (** charged flushes per op at slots=1 *)
-  lp_reduction : float;  (** baseline / charged flushes per op *)
-}
-
-(** The slots-per-line sweep of the line panel; also the exact vocabulary
-    the [--slots-per-line] flags of bench/main.exe and bin/mcheck.exe
-    accept (both exit 2 listing it on anything else). *)
-let line_slots = [ 1; 4; 8 ]
-
-(** The three multi-field structures of the line panel: the linked list
-    (one fresh field per insert, chained to the predecessor's line), the
-    external BST (two fresh edge fields per insert) and the skip list
-    (one fresh field per level). *)
-let line_structures = [ "list"; "bst"; "skiplist" ]
-
 let run_line_panel ?(slots = line_slots) ?(threads = 2) ?(ops_per_task = 200)
-    ?(seeds = 4) () : line_point list =
+    ?(seeds = 4) () : Row.t list =
   let ds_of = function
     | "list" -> Sets.List_ds
     | "bst" -> Sets.Bst_ds
@@ -843,31 +807,34 @@ let run_line_panel ?(slots = line_slots) ?(threads = 2) ?(ops_per_task = 200)
         (fun slots ->
           let ops, st = if slots = 1 then (bops, base) else measure name slots in
           let fops = float_of_int ops in
+          let per = per_op fops in
           let flushes = float_of_int st.Mirror_nvm.Stats.flush /. fops in
           {
-            lp_ds = name;
-            lp_slots = slots;
-            lp_ops = ops;
-            lp_flushes = flushes;
-            lp_coalesced =
-              float_of_int st.Mirror_nvm.Stats.flush_coalesced /. fops;
-            lp_fences = float_of_int st.Mirror_nvm.Stats.fence /. fops;
-            lp_baseline_flushes = baseline;
-            lp_reduction =
-              (if flushes > 0. then baseline /. flushes else Float.infinity);
+            Row.panel = "line";
+            keys = [ ("ds", Row.Str name); ("slots_per_line", Row.Int slots) ];
+            metrics =
+              [
+                ("ops", Row.Int ops);
+                ("flushes_per_op", num 4 flushes);
+                ("coalesced_per_op", per st.Mirror_nvm.Stats.flush_coalesced);
+                ("fences_per_op", per st.Mirror_nvm.Stats.fence);
+                ("baseline_flushes_per_op", num 4 baseline);
+                ( "flush_reduction",
+                  num 2
+                    (if flushes > 0. then baseline /. flushes
+                     else Float.infinity) );
+              ];
           })
         slots)
     line_structures
 
-let line_csv_header =
-  "ds,slots_per_line,ops,flushes_per_op,coalesced_per_op,fences_per_op,baseline_flushes_per_op,flush_reduction"
-
-let line_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%.4f,%.4f,%.4f,%.4f,%.2f" p.lp_ds p.lp_slots
-    p.lp_ops p.lp_flushes p.lp_coalesced p.lp_fences p.lp_baseline_flushes
-    p.lp_reduction
-
 (* -- scaling panel: modeled speedup at 1..16 logical threads ---------------- *)
+
+(** The scaling panel's structures: the two set shapes of the paper's
+    figures plus the queue and the bare counter — the two extremes of
+    the contention spectrum (disjoint-ish traffic vs a single hot
+    word). *)
+let scaling_structures = [ "list"; "hash"; "queue"; "counter" ]
 
 (** The scaling tier: the same contended drivers as the elision panel
     ({!contended_tasks}) run at every point of the extended thread axis,
@@ -878,7 +845,7 @@ let line_point_to_csv p =
     run through the {!Mirror_nvm.Latency} config.  Contention shows up
     honestly — a hotter structure inflates its per-op charged counts
     (CAS retries, helping) and its cross-thread NUMA traffic, both of
-    which eat into the modeled speedup.  [sp_wall_ms] is the measured
+    which eat into the modeled speedup.  [wall_ms] is the measured
     wall clock of the schedsim runs: every fiber timeshares one OS
     thread, so it reports simulation cost, not parallel speedup.
 
@@ -888,25 +855,9 @@ let line_point_to_csv p =
     control flow, so all counts stay deterministic, and the remote
     term prices the cross-thread sharing that uniform-memory modeling
     would hide. *)
-type scaling_point = {
-  sp_ds : string;
-  sp_threads : int;
-  sp_ops : int;  (** completed operations, summed over seeds *)
-  sp_mops : float;  (** Amdahl-priced modeled throughput *)
-  sp_speedup : float;  (** [sp_mops] over the structure's 1-thread row *)
-  sp_remote : float;  (** NUMA remote-line accesses per op *)
-  sp_wall_ms : float;  (** measured (timeshared) wall clock *)
-}
-
-(** The scaling panel's structures: the two set shapes of the paper's
-    figures plus the queue and the bare counter — the two extremes of
-    the contention spectrum (disjoint-ish traffic vs a single hot
-    word). *)
-let scaling_structures = [ "list"; "hash"; "queue"; "counter" ]
-
 let run_scaling_panel ?(structures = scaling_structures)
     ?(threads_points = [ 1; 2; 4; 8; 16 ]) ?(ops_per_task = 40) ?(seeds = 4)
-    ?(base_op_ns = 40) ?(numa_remote_ns = 150) () : scaling_point list =
+    ?(base_op_ns = 40) ?(numa_remote_ns = 150) () : Row.t list =
   let saved_remote = Mirror_nvm.Latency.numa_remote_ns () in
   Mirror_nvm.Latency.set_numa_remote_ns numa_remote_ns;
   Fun.protect
@@ -945,31 +896,31 @@ let run_scaling_panel ?(structures = scaling_structures)
       (!persist_ns +. (float_of_int base_op_ns *. fops))
       /. float_of_int threads
     in
-    {
-      sp_ds = ds;
-      sp_threads = threads;
-      sp_ops = !ops;
-      sp_mops = (fops /. elapsed_ns *. 1e3);
-      sp_speedup = 1.0 (* filled in against the 1-thread row below *);
-      sp_remote = float_of_int acc.Mirror_nvm.Stats.nvm_remote /. fops;
-      sp_wall_ms = !wall;
-    }
+    let mops = fops /. elapsed_ns *. 1e3 in
+    ( mops,
+      fun ~base_mops ->
+        {
+          Row.panel = "scaling";
+          keys = [ ("ds", Row.Str ds); ("threads", Row.Int threads) ];
+          metrics =
+            [
+              ("ops", Row.Int !ops);
+              ("modeled_mops", num 3 mops);
+              ("speedup", num 3 (mops /. base_mops));
+              ("remote_per_op", per_op fops acc.Mirror_nvm.Stats.nvm_remote);
+              ("wall_ms", num 3 !wall);
+            ];
+        } )
   in
   List.concat_map
     (fun ds ->
       (* the 1-thread baseline is always measured (and reused when the
          axis includes it), so every row carries a well-defined speedup *)
       let base = run_one ds 1 in
+      let base_mops = fst base in
       List.map
         (fun threads ->
-          let p = if threads = 1 then base else run_one ds threads in
-          { p with sp_speedup = p.sp_mops /. base.sp_mops })
+          let _, row = if threads = 1 then base else run_one ds threads in
+          row ~base_mops)
         threads_points)
     structures
-
-let scaling_csv_header =
-  "ds,threads,ops,modeled_mops,speedup,remote_per_op,wall_ms"
-
-let scaling_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%.3f,%.3f,%.4f,%.3f" p.sp_ds p.sp_threads p.sp_ops
-    p.sp_mops p.sp_speedup p.sp_remote p.sp_wall_ms

@@ -55,12 +55,16 @@ val figure6 : config -> panel list
 val figure7 : config -> panel list
 val all_panels : config -> panel list
 
-type row = { panel : panel; x : int; point : Runner.point }
+(** Every panel runner returns {!Row.t} rows; each doc below names the
+    row's [panel] family and its key and metric columns, which are also
+    the archived CSV's column order. *)
 
-val run_panel : ?progress:(string -> unit) -> config -> panel -> row list
-val pp_row : Format.formatter -> row -> unit
-val row_to_csv : row -> string
-val csv_header : string
+val run_panel : ?progress:(string -> unit) -> config -> panel -> Row.t list
+(** Panel [figure]: one row per (x-value, algorithm).  Keys [panel], [ds],
+    [algo], [x], [threads]; metrics [mops] (measured), [modeled_mops],
+    then per-op [nvm_reads], [nvm_writes], [flushes], [fences],
+    [flushes_elided], [fences_elided], [epoch_advances],
+    [fences_batched], [writes_deferred] (each suffixed [_per_op]). *)
 
 (** {1 The elision panel}
 
@@ -71,28 +75,16 @@ val csv_header : string
     off/on rows of a structure describe the same executions and
     [charged_off = charged_on + elided_on] holds per event kind. *)
 
-type elision_point = {
-  e_ds : string;
-  e_elide : bool;
-  e_ops : int;  (** completed operations, summed over seeds *)
-  e_flushes : float;  (** charged flushes per op *)
-  e_fences : float;  (** charged fences per op *)
-  e_flushes_elided : float;
-  e_fences_elided : float;
-  e_helps : float;  (** helping-path executions per op *)
-}
-
 val elision_structures : string list
 (** ["list"; "hash"; "bst"; "skiplist"; "queue"; "stack"; "pqueue";
     "counter"]. *)
 
 val run_elision_panel :
-  ?threads:int -> ?ops_per_task:int -> ?seeds:int -> unit -> elision_point list
-(** Two rows (elide off, elide on) per structure, in
-    {!elision_structures} order. *)
-
-val elision_csv_header : string
-val elision_point_to_csv : elision_point -> string
+  ?threads:int -> ?ops_per_task:int -> ?seeds:int -> unit -> Row.t list
+(** Panel [elision]: two rows (elide off, elide on) per structure, in
+    {!elision_structures} order.  Keys [ds], [elide]; metrics [ops]
+    (summed over seeds), then per-op [flushes], [fences],
+    [flushes_elided], [fences_elided], [helps] (charged counts). *)
 
 (** {1 The buffered panel}
 
@@ -100,23 +92,7 @@ val elision_point_to_csv : elision_point -> string
     schedsim workload per (structure, threads) cell, run under strict
     Mirror and under the buffered discipline at several epoch lengths.
     Counts are exact and deterministic; the open epoch is drained before
-    counters are read so the deferred tail is charged to its run.
-    bench/budgets.csv commits ceilings on [b_fences] and floors on
-    [b_fence_reduction] at epoch length 256. *)
-
-type buffered_point = {
-  b_ds : string;
-  b_threads : int;
-  b_epoch_len : int;  (** deferred persists per epoch *)
-  b_ops : int;  (** completed operations, summed over seeds *)
-  b_strict_fences : float;  (** strict Mirror fences per op (baseline) *)
-  b_fences : float;  (** buffered charged fences per op *)
-  b_fence_reduction : float;  (** strict / buffered fences per op *)
-  b_flushes : float;  (** buffered charged flushes per op *)
-  b_epoch_advances : float;
-  b_fences_batched : float;
-  b_writes_deferred : float;
-}
+    counters are read so the deferred tail is charged to its run. *)
 
 val buffered_structures : string list
 (** ["list"; "hash"; "queue"; "stack"]. *)
@@ -127,13 +103,14 @@ val run_buffered_panel :
   ?ops_per_task:int ->
   ?seeds:int ->
   unit ->
-  buffered_point list
-(** One row per (structure, threads, epoch length), structures in
-    {!buffered_structures} order (defaults: 1/2/4 threads, epoch lengths
-    1/16/256, 40 ops per fiber, 4 seeds). *)
-
-val buffered_csv_header : string
-val buffered_point_to_csv : buffered_point -> string
+  Row.t list
+(** Panel [buffered]: one row per (structure, threads, epoch length),
+    structures in {!buffered_structures} order (defaults: 1/2/4/8/16
+    threads, epoch lengths 1/16/256, 40 ops per fiber, 4 seeds).  Keys
+    [ds], [threads], [epoch_len]; metrics [ops], [strict_fences_per_op]
+    (the strict Mirror baseline), [fences_per_op], [fence_reduction]
+    (strict / buffered fences), then per-op [flushes], [epoch_advances],
+    [fences_batched], [writes_deferred]. *)
 
 (** {1 The line panel}
 
@@ -144,20 +121,7 @@ val buffered_point_to_csv : buffered_point -> string
     region's default — each repp write-back is a separate charged
     flush; wider lines let [make_near] placement carve fresh fields
     from the destination's line so the per-line dirty map coalesces
-    them into one charged flush.  Counts are exact and deterministic;
-    bench/budgets.csv commits floors on [lp_reduction] at 8 slots per
-    line via its [line,slots8,...] rows. *)
-
-type line_point = {
-  lp_ds : string;
-  lp_slots : int;  (** region slots_per_line for this row *)
-  lp_ops : int;  (** completed operations, summed over seeds *)
-  lp_flushes : float;  (** charged flushes per op *)
-  lp_coalesced : float;  (** line-coalesced (uncharged) flushes per op *)
-  lp_fences : float;  (** charged fences per op *)
-  lp_baseline_flushes : float;  (** charged flushes per op at slots=1 *)
-  lp_reduction : float;  (** baseline / charged flushes per op *)
-}
+    them into one charged flush.  Counts are exact and deterministic. *)
 
 val line_slots : int list
 (** [[1; 4; 8]] — the sweep, and the exact vocabulary the
@@ -173,71 +137,46 @@ val run_line_panel :
   ?ops_per_task:int ->
   ?seeds:int ->
   unit ->
-  line_point list
-(** One row per (structure, slots-per-line) in {!line_structures} x
-    [slots] order (defaults: the {!line_slots} sweep, 2 fibers, 200
-    inserts per fiber, 4 seeds — the fiber count is deliberately low
-    because every fiber timeshares one simulated core, so each fence
-    drains the whole pending set and fragments the other fibers'
-    coalescing windows).  Each structure's slots=1 measurement is
-    always taken and reused as the [lp_baseline_flushes] of all its
-    rows, whether or not [1] is in [slots]. *)
-
-val line_csv_header : string
-val line_point_to_csv : line_point -> string
+  Row.t list
+(** Panel [line]: one row per (structure, slots-per-line) in
+    {!line_structures} x [slots] order (defaults: the {!line_slots}
+    sweep, 2 fibers, 200 inserts per fiber, 4 seeds — the fiber count is
+    deliberately low because every fiber timeshares one simulated core,
+    so each fence drains the whole pending set and fragments the other
+    fibers' coalescing windows).  Keys [ds], [slots_per_line]; metrics
+    [ops], then per-op [flushes], [coalesced] (uncharged), [fences],
+    [baseline_flushes] (at slots=1), and [flush_reduction] (baseline /
+    charged flushes).  Each structure's slots=1 measurement is always
+    taken and reused as the baseline of all its rows, whether or not
+    [1] is in [slots]. *)
 
 (** {1 Recovery panel} *)
-
-type recovery_point = {
-  rp_shape : string;
-  rp_live : int;  (** live objects in the recovered heap *)
-  rp_garbage : int;  (** unreachable blocks the sweep must reclaim *)
-  rp_domains : int;
-  rp_wall_ms : float;  (** measured, real [Domain.spawn] workers *)
-  rp_model_ms : float;
-      (** critical-path worker cost priced at the configured NVMM read
-          latency, from a deterministic-scheduler run — the
-          machine-independent metric the speedup budget gates *)
-  rp_marked : int;  (** nodes traced (duplicates included) *)
-  rp_swept : int;
-  rp_steals : int;
-}
 
 val run_recovery_panel :
   ?shapes:Mirror_nvmheap.Shapes.shape list ->
   ?live_points:int list ->
   ?domain_points:int list ->
   unit ->
-  recovery_point list
-(** Parallel heap-recovery latency over live-object count x worker count
-    (defaults: forest shape, 10k and 100k live objects, 1/2/4 workers). *)
-
-val recovery_csv_header : string
-val recovery_point_to_csv : recovery_point -> string
+  Row.t list
+(** Panel [recovery]: parallel heap-recovery latency over live-object
+    count x worker count (defaults: forest shape, 10k and 100k live
+    objects, 1/2/4 workers).  Keys [shape], [live], [garbage]
+    (unreachable blocks the sweep reclaims), [domains]; metrics
+    [wall_ms] (real [Domain.spawn] workers), [model_ms] (critical-path
+    worker cost priced at the configured NVMM read latency, from a
+    deterministic-scheduler run), [marked], [swept], [steals], and
+    [speedup] (the [domains=1] model over this row's, so [domain_points]
+    must include 1). *)
 
 (** {1 Alloc panel}
 
     Allocator throughput on an alloc/free-heavy workload: the sharded
     per-thread arenas against the old global-lock allocator, under the
-    deterministic scheduler.  [ap_mops] is a deterministic model, not wall
-    clock: the run's charged NVMM persist events are priced at the
-    configured latencies; under [Global_lock] the whole priced cost is
-    serial (every persist happens holding the allocator lock), under
-    [Sharded] it divides across threads.  bench/budgets.csv commits floors
-    on the sharded/lock ratio. *)
-
-type alloc_point = {
-  ap_policy : string;  (** "sharded" or "lock" *)
-  ap_threads : int;
-  ap_ops : int;  (** alloc + free operations, summed over seeds *)
-  ap_mops : float;  (** modeled throughput *)
-  ap_wall_ms : float;  (** measured wall clock of the schedsim runs *)
-  ap_carves : int;  (** chunks carved off the global bump pointer *)
-  ap_remote_frees : int;  (** frees routed to another thread's arena *)
-  ap_drains : int;  (** non-empty remote-free-list drains *)
-  ap_flushes : float;  (** charged flushes per op *)
-  ap_fences : float;  (** charged fences per op *)
-}
+    deterministic scheduler.  [modeled_mops] is a deterministic model,
+    not wall clock: the run's charged NVMM persist events are priced at
+    the configured latencies; under [Global_lock] the whole priced cost
+    is serial (every persist happens holding the allocator lock), under
+    [Sharded] it divides across threads. *)
 
 val alloc_policy_name : Mirror_nvmheap.Heap.policy -> string
 
@@ -247,13 +186,14 @@ val run_alloc_panel :
   ?seeds:int ->
   ?base_op_ns:int ->
   unit ->
-  alloc_point list
-(** Two rows (lock, sharded) per thread count, in [threads_points] order
-    (default 1/2/4/8/16 logical threads, 400 ops per fiber, 4 seeds,
-    [base_op_ns] = 20 of volatile bookkeeping per operation). *)
-
-val alloc_csv_header : string
-val alloc_point_to_csv : alloc_point -> string
+  Row.t list
+(** Panel [alloc]: two rows (lock, sharded) per thread count, in
+    [threads_points] order (default 1/2/4/8/16 logical threads, 400 ops
+    per fiber, 4 seeds, [base_op_ns] = 20 of volatile bookkeeping per
+    operation).  Keys [policy], [threads]; metrics [ops] (alloc + free),
+    [modeled_mops], [wall_ms] (the schedsim runs), [carves],
+    [remote_frees], [drains], per-op [flushes] and [fences], and
+    [speedup] (modeled throughput over the lock row's). *)
 
 (** {1 Scaling panel}
 
@@ -264,21 +204,9 @@ val alloc_point_to_csv : alloc_point -> string
     per-op charged-count inflation (retries, helping) and as NUMA
     remote-line traffic — the panel runs with the remote-line knob on
     ([numa_remote_ns], restored afterwards), which adds pricing but no
-    control flow, so all counts stay deterministic.  [sp_wall_ms] is the
+    control flow, so all counts stay deterministic.  [wall_ms] is the
     honest timeshared wall clock of the schedsim runs (every fiber
-    shares one OS thread — simulation cost, not parallel speedup).
-    bench/budgets.csv commits per-structure floors on [sp_speedup] at 8
-    and 16 threads. *)
-
-type scaling_point = {
-  sp_ds : string;
-  sp_threads : int;
-  sp_ops : int;  (** completed operations, summed over seeds *)
-  sp_mops : float;  (** Amdahl-priced modeled throughput *)
-  sp_speedup : float;  (** [sp_mops] over the structure's 1-thread row *)
-  sp_remote : float;  (** NUMA remote-line accesses per op *)
-  sp_wall_ms : float;  (** measured (timeshared) wall clock *)
-}
+    shares one OS thread — simulation cost, not parallel speedup). *)
 
 val scaling_structures : string list
 (** ["list"; "hash"; "queue"; "counter"] — two set shapes plus the two
@@ -292,12 +220,11 @@ val run_scaling_panel :
   ?base_op_ns:int ->
   ?numa_remote_ns:int ->
   unit ->
-  scaling_point list
-(** One row per (structure, thread count), structures outer, in
-    [threads_points] order (default 1/2/4/8/16 logical threads, 40 ops
-    per fiber, 4 seeds, [base_op_ns] = 40, [numa_remote_ns] = 150).  The
-    1-thread baseline is always measured, so [sp_speedup] is defined
-    even when the axis omits 1. *)
-
-val scaling_csv_header : string
-val scaling_point_to_csv : scaling_point -> string
+  Row.t list
+(** Panel [scaling]: one row per (structure, thread count), structures
+    outer, in [threads_points] order (default 1/2/4/8/16 logical
+    threads, 40 ops per fiber, 4 seeds, [base_op_ns] = 40,
+    [numa_remote_ns] = 150).  Keys [ds], [threads]; metrics [ops],
+    [modeled_mops] (Amdahl-priced), [speedup] (over the structure's
+    1-thread row, always measured), [remote_per_op] (NUMA remote-line
+    accesses), [wall_ms]. *)

@@ -4,6 +4,7 @@
 
 open Mirror_nvm
 module F = Mirror_harness.Figures
+module Row = Mirror_harness.Row
 module Psan = Mirror_psan.Psan
 
 let check = Support.check
@@ -179,18 +180,19 @@ let test_panel_reduction () =
     "two rows per structure";
   List.iter
     (fun p ->
-      if p.F.lp_slots = 1 then begin
-        check (p.F.lp_coalesced = 0.) (p.F.lp_ds ^ ": no coalescing at 1");
-        check (p.F.lp_reduction = 1.) (p.F.lp_ds ^ ": slots=1 is the baseline")
+      let ds = Row.str p "ds" and reduction = Row.num p "flush_reduction" in
+      if Row.int p "slots_per_line" = 1 then begin
+        check (Row.num p "coalesced_per_op" = 0.) (ds ^ ": no coalescing at 1");
+        check (reduction = 1.) (ds ^ ": slots=1 is the baseline")
       end
       else begin
-        check (p.F.lp_coalesced > 0.) (p.F.lp_ds ^ ": coalesced flushes at 8");
+        check (Row.num p "coalesced_per_op" > 0.) (ds ^ ": coalesced flushes at 8");
         check
-          (p.F.lp_flushes < p.F.lp_baseline_flushes)
-          (p.F.lp_ds ^ ": charged flushes drop");
-        if p.F.lp_reduction < 1.4 then
-          Alcotest.failf "%s: flush reduction %.2f < 1.4 at 8 slots/line"
-            p.F.lp_ds p.F.lp_reduction
+          (Row.num p "flushes_per_op" < Row.num p "baseline_flushes_per_op")
+          (ds ^ ": charged flushes drop");
+        if reduction < 1.4 then
+          Alcotest.failf "%s: flush reduction %.2f < 1.4 at 8 slots/line" ds
+            reduction
       end)
     pts
 

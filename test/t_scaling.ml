@@ -6,7 +6,7 @@
     moves a single charged count — the hot-path rework in Stats /
     Region / Hooks explicitly must not — fails here with a diff.
     Wall-clock columns are excluded from the pins (the alloc projection
-    drops [ap_wall_ms]).  Second, 8/16-thread floors: the scaling panel
+    drops [wall_ms]).  Second, 8/16-thread floors: the scaling panel
     must show the sharded allocator's modeled speedup strictly
     improving 4 -> 8 -> 16, and the per-structure scaling speedups must
     clear the floors committed in bench/budgets.csv.
@@ -20,37 +20,37 @@
     then paste /tmp/pins over the [pinned] literal. *)
 
 module F = Mirror_harness.Figures
+module Row = Mirror_harness.Row
 
 let check = Support.check
 
-(* Deterministic projections of the panel rows.  The alloc panel's CSV
-   row carries ap_wall_ms (measured wall clock), so alloc rows are
-   re-serialized without it; every other panel's emitter is already
-   wall-free and is reused as the pin format. *)
+(* Deterministic projections of the panel rows: the CSV line of each row,
+   prefixed with its panel.  The alloc rows carry wall_ms (measured wall
+   clock) and the derived speedup column, so both are dropped from the
+   pin; every other pinned panel's row is already wall-free. *)
 
-let alloc_project (p : F.alloc_point) =
-  Printf.sprintf "alloc,%s,%d,%d,%.3f,%d,%d,%d,%.4f,%.4f" p.F.ap_policy
-    p.F.ap_threads p.F.ap_ops p.F.ap_mops p.F.ap_carves p.F.ap_remote_frees
-    p.F.ap_drains p.F.ap_flushes p.F.ap_fences
+let pin prefix rows = List.map (fun r -> prefix ^ "," ^ Row.csv_line r) rows
+
+let alloc_project (r : Row.t) =
+  let pinned (k, _) = k <> "wall_ms" && k <> "speedup" in
+  { r with Row.metrics = List.filter pinned r.Row.metrics }
 
 let elision_rows ~threads () =
   F.run_elision_panel ~threads ~ops_per_task:10 ~seeds:2 ()
-  |> List.map (fun p ->
-         Printf.sprintf "elision%d,%s" threads (F.elision_point_to_csv p))
+  |> pin (Printf.sprintf "elision%d" threads)
 
 let buffered_rows () =
   F.run_buffered_panel ~threads_points:[ 1; 2; 4 ] ~epoch_lens:[ 16 ]
     ~ops_per_task:10 ~seeds:2 ()
-  |> List.map (fun p ->
-         Printf.sprintf "buffered,%s" (F.buffered_point_to_csv p))
+  |> pin "buffered"
 
 let line_rows () =
   F.run_line_panel ~slots:[ 4 ] ~threads:2 ~ops_per_task:40 ~seeds:2 ()
-  |> List.map (fun p -> Printf.sprintf "line,%s" (F.line_point_to_csv p))
+  |> pin "line"
 
 let alloc_rows () =
   F.run_alloc_panel ~threads_points:[ 1; 2; 4 ] ~ops_per_task:40 ~seeds:2 ()
-  |> List.map alloc_project
+  |> List.map alloc_project |> pin "alloc"
 
 let current_rows () =
   elision_rows ~threads:1 ()
@@ -165,16 +165,16 @@ let test_scaling_floors () =
   (match Sys.getenv_opt "MIRROR_PIN_OUT" with
   | Some path ->
       let oc = open_out (path ^ ".scaling") in
-      List.iter
-        (fun p -> output_string oc (F.scaling_point_to_csv p ^ "\n"))
-        pts;
+      List.iter (fun r -> output_string oc (Row.csv_line r ^ "\n")) pts;
       close_out oc
   | None -> ());
   let sp ds th =
     match
-      List.find_opt (fun p -> p.F.sp_ds = ds && p.F.sp_threads = th) pts
+      List.find_opt
+        (fun r -> Row.str r "ds" = ds && Row.int r "threads" = th)
+        pts
     with
-    | Some p -> p.F.sp_speedup
+    | Some r -> Row.num r "speedup"
     | None -> Alcotest.failf "missing scaling row %s@%d" ds th
   in
   List.iter
@@ -196,17 +196,17 @@ let test_alloc_floors () =
   (match Sys.getenv_opt "MIRROR_PIN_OUT" with
   | Some path ->
       let oc = open_out (path ^ ".alloc") in
-      List.iter (fun p -> output_string oc (F.alloc_point_to_csv p ^ "\n")) pts;
+      List.iter (fun r -> output_string oc (Row.csv_line r ^ "\n")) pts;
       close_out oc
   | None -> ());
   let speedup th =
     let find pol =
       match
         List.find_opt
-          (fun p -> p.F.ap_policy = pol && p.F.ap_threads = th)
+          (fun r -> Row.str r "policy" = pol && Row.int r "threads" = th)
           pts
       with
-      | Some p -> p.F.ap_mops
+      | Some r -> Row.num r "modeled_mops"
       | None -> Alcotest.failf "missing alloc row %s@%d" pol th
     in
     find "sharded" /. find "lock"
