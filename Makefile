@@ -1,6 +1,6 @@
 .PHONY: all build test test-stress bench bench-smoke bench-full examples \
         mcheck-smoke mcheck-deep litmus-smoke litmus-deep psan-smoke \
-        lint lint-strict fmt ci clean
+        perfbench-smoke lint lint-strict fmt ci clean
 
 # Every generated CSV (bench smoke/full panels, psan counters, mlint
 # counters) lands under this one directory — override with
@@ -21,9 +21,11 @@ fmt:
 
 # The full CI gate, runnable locally in one shot: build, unit tests, the
 # budget-enforcing bench smoke, crash-point model checking, the
-# persistency sanitizer, and formatting.  Green here means the required
-# GitHub checks will be green (the workflow jobs run these same targets).
-ci: build test lint bench-smoke mcheck-smoke litmus-smoke psan-smoke fmt
+# persistency sanitizer, the repository benchmark's smoke test, and
+# formatting.  Green here means the required GitHub checks will be green
+# (the workflow jobs run these same targets).
+ci: build test lint bench-smoke mcheck-smoke litmus-smoke psan-smoke \
+    perfbench-smoke fmt
 	@echo "ci: all gates green"
 
 # Nightly soak: the crash-torture tier over real domains, 30 times, so
@@ -64,6 +66,13 @@ bench-smoke:
 	@mkdir -p $(ARTIFACTS)
 	dune exec bench/main.exe -- --smoke --no-micro --no-ablation \
 	  --csv $(ARTIFACTS)/bench_smoke.csv --budget bench/budgets.csv
+
+# The repository benchmark (perfbench/, declared by BENCHMARK.json), one
+# second of each workload untraced and traced: a library change that
+# breaks its build, its metric schema or its correctness checks fails
+# here.  Needs python3.
+perfbench-smoke:
+	python3 perfbench/smoke_test.py
 
 bench-full:
 	@mkdir -p $(ARTIFACTS)

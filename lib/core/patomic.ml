@@ -6,12 +6,14 @@
       NVMM — the only replica that is ever flushed;
     - [repv], the volatile replica — the only replica that is ever read.
 
-    Each replica holds a {!cell}: the value together with a monotonically
-    increasing sequence number, updated atomically by a double-word CAS.
-    In this port DWCAS is an [Atomic.t] over an immutable boxed pair with a
-    content-comparing retry loop — the same atomicity as the hardware
-    instruction (both words change together; a failed CAS reports the
-    witnessed value).
+    Each replica holds a {!Mirror_nvm.Slot.entry}: the value together with
+    a monotonically increasing sequence number ([ver]), updated atomically
+    by a double-word CAS.  In this port DWCAS is an [Atomic.t] over an
+    immutable boxed entry with a content-comparing retry loop — the same
+    atomicity as the hardware instruction (both words change together; a
+    failed CAS reports the witnessed value).  A write builds one entry
+    ({!Mirror_nvm.Slot.dwcas}); [repp]'s coherent view, its media history
+    and [repv] then all hold that one block.
 
     Invariants maintained (proved as Lemmas 5.3–5.5 in the paper, checked by
     the test suite under deterministic interleavings):
@@ -24,7 +26,7 @@
 
 open Mirror_nvm
 
-type 'a cell = { v : 'a; seq : int }
+type 'a entry = 'a Slot.entry = { v : 'a; ver : int; ep : int }
 
 type placement =
   | Dram  (** volatile replica in DRAM: fast reads (the §6.2 configuration) *)
@@ -41,53 +43,32 @@ type discipline =
           epoch.  Recovery rolls back to the last committed epoch —
           buffered durable linearizability (bounded staleness). *)
 
+(* The pair uid and the discipline live on [repp] ([Slot.pair],
+   [Slot.buffered]); [region] and [gen] stay here so [load] never touches
+   the slot record. *)
 type 'a t = {
-  uid : int;  (** pair identity carried on access events *)
-  repv : 'a cell Atomic.t;
-  repp : 'a cell Slot.t;
+  repv : 'a entry Atomic.t;
+  repp : 'a Slot.t;
   placement : placement;
-  discipline : discipline;
-  valid : bool Atomic.t;  (** false between a crash and this variable's recovery *)
   region : Region.t;
+  mutable gen : int;
+      (** the region's crash count when made or last recovered: a crash
+          since then leaves the variable invalid until it is recovered *)
 }
 
 let next_uid = Atomic.make 0
 
-(* Volatile-replica access events: attributed to the persistent replica's
-   slot uid so a slot's event trace shows the whole pair's history.  Call
-   sites gate on [Hooks.access_on]. *)
-let announce_repv t op ~seq =
-  Hooks.access_point
-    {
-      Hooks.a_op = op;
-      a_slot = Slot.uid t.repp;
-      a_pair = t.uid;
-      a_region = Region.id t.region;
-      a_domain = (Domain.self () :> int);
-      a_tid = Hooks.tid ();
-      a_seq = seq;
-      a_line =
-        (match Slot.line t.repp with
-        | Some l -> Region.line_uid l
-        | None -> -1);
-      a_protocol = Hooks.in_protocol ();
-    }
-
 (* Double-word CAS on the volatile replica: compare value (physical equality,
    as a hardware word compare) and sequence number, install atomically. *)
-let dwcas_v (a : 'a cell Atomic.t) ~(expected : 'a cell) ~(desired : 'a cell) =
-  let rec go () =
-    let cur = Atomic.get a in
-    if cur.v == expected.v && cur.seq = expected.seq then
-      if Atomic.compare_and_set a cur desired then true else go ()
-    else false
-  in
-  go ()
+let rec dwcas_v (a : 'a entry Atomic.t) (expected : 'a entry) desired =
+  let cur = Atomic.get a in
+  cur.v == expected.v
+  && cur.ver = expected.ver
+  && (Atomic.compare_and_set a cur desired || dwcas_v a expected desired)
 
 let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
     region v =
-  let c = { v; seq = 0 } in
-  let uid = Atomic.fetch_and_add next_uid 1 in
+  let pair = Atomic.fetch_and_add next_uid 1 in
   (* cache-line placement (line granularity, docs/MODEL.md): strict repp
      slots are carved from a line — the caller's ([make_near]'s) if given,
      else a fresh one — so an object's fields can share write-backs.
@@ -104,29 +85,21 @@ let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
      event stream see the same make the cost belongs to; the ordering
      fence is folded into the next protocol fence *)
   let repp =
-    Slot.make ~persist ~charge_copy:persist ~pair:uid
+    Slot.make ~persist ~charge_copy:persist ~pair
       ~buffered:(discipline = Buffered)
-      ?line
-      ~seq_of:(fun c -> c.seq)
-      region c
+      ?line region v
   in
-  let t =
-    {
-      uid;
-      repv = Atomic.make c;
-      repp;
-      placement;
-      discipline;
-      valid = Atomic.make true;
-      region;
-    }
-  in
-  Region.register_volatile region (fun () -> Atomic.set t.valid false);
-  t
+  {
+    repv = Atomic.make (Slot.peek_entry repp);
+    repp;
+    placement;
+    region;
+    gen = Region.crash_count region;
+  }
 
 let check t =
   Region.check_up t.region;
-  if not (Atomic.get t.valid) then
+  if t.gen <> Region.crash_count t.region then
     invalid_arg
       "Patomic: access to a variable that was not recovered after a crash \
        (the tracing routine did not reach it)"
@@ -142,7 +115,9 @@ let read_repv t =
       s.Stats.nvm_read <- s.Stats.nvm_read + 1;
       Latency.nvm_read ());
   let c = Atomic.get t.repv in
-  if !Hooks.access_on then announce_repv t Hooks.A_load_repv ~seq:c.seq;
+  (* volatile-replica events are attributed to the persistent replica's
+     slot, so a slot's event trace shows the whole pair's history *)
+  if !Hooks.access_on then Slot.announce t.repp Hooks.A_load_repv ~seq:c.ver;
   c
 
 let write_repv t ~expected ~desired =
@@ -153,9 +128,9 @@ let write_repv t ~expected ~desired =
   | Nvmm ->
       s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
       Latency.nvm_write ());
-  let ok = dwcas_v t.repv ~expected ~desired in
+  let ok = dwcas_v t.repv expected desired in
   if ok && !Hooks.access_on then
-    announce_repv t Hooks.A_write_repv ~seq:desired.seq;
+    Slot.announce t.repp Hooks.A_write_repv ~seq:desired.ver;
   ok
 
 (** Figure 5: a load is a single wait-free read of the volatile replica. *)
@@ -177,11 +152,11 @@ let load t =
    durable {e or} belongs to an epoch younger than the durable cut", which
    is exactly buffered durable linearizability. *)
 let persist_repp t =
-  match t.discipline with
-  | Strict ->
-      Slot.flush t.repp;
-      Region.fence t.region
-  | Buffered -> Slot.persist_deferred t.repp
+  if Slot.buffered t.repp then Slot.persist_deferred t.repp
+  else begin
+    Slot.flush t.repp;
+    Region.fence t.region
+  end
 
 (** Figure 4: [compare_exchange t ~expected ~desired] returns
     [(success, witness)] where [witness] is the value found when the
@@ -190,11 +165,11 @@ let rec compare_exchange_body t ~(expected : 'a) ~(desired : 'a) : bool * 'a =
   check t;
   let s = Stats.get () in
   (* read repp then repv (lines 5–16; the seq/val/seq re-read of the paper is
-     subsumed by the atomic cell read) *)
+     subsumed by the atomic entry read) *)
   Hooks.yield ();
-  let pc = Slot.load t.repp in
+  let pc = Slot.load_entry t.repp in
   let vc = read_repv t in
-  if pc.seq = vc.seq + 1 then begin
+  if pc.ver = vc.ver + 1 then begin
     (* lines 19–26: help an ongoing write: persist repp, then mirror it *)
     s.Stats.help <- s.Stats.help + 1;
     persist_repp t;
@@ -202,23 +177,19 @@ let rec compare_exchange_body t ~(expected : 'a) ~(desired : 'a) : bool * 'a =
     s.Stats.cas_retry <- s.Stats.cas_retry + 1;
     compare_exchange_body t ~expected ~desired
   end
-  else if pc.seq <> vc.seq then begin
+  else if pc.ver <> vc.ver then begin
     (* inconsistent snapshot; retry (line 29) *)
     s.Stats.cas_retry <- s.Stats.cas_retry + 1;
     compare_exchange_body t ~expected ~desired
   end
   else if not (pc.v == expected) then (false, pc.v) (* lines 32–35 *)
   else begin
-    (* lines 38–49: update repp first, persist, then mirror into repv *)
-    let after = { v = desired; seq = pc.seq + 1 } in
-    let ok, wit =
-      Slot.cas_pred t.repp
-        ~expect:(fun c -> c.v == pc.v && c.seq = pc.seq)
-        ~desired:after
-    in
+    (* lines 38–49: update repp first, persist, then mirror into repv the
+       very entry repp installed *)
+    let ok, wit = Slot.dwcas t.repp ~expected:pc ~desired in
     persist_repp t;
     if ok then begin
-      ignore (write_repv t ~expected:vc ~desired:after);
+      ignore (write_repv t ~expected:vc ~desired:wit);
       (true, expected)
     end
     else if wit.v == expected then begin
@@ -278,27 +249,30 @@ let recover t =
   Hooks.recovery_point Hooks.R_trace;
   if Slot.is_lost t.repp then
     invalid_arg "Patomic.recover: persistent replica was never persisted";
-  let pc = Slot.peek t.repp in
-  Atomic.set t.repv pc;
-  Atomic.set t.valid true
+  Atomic.set t.repv (Slot.peek_entry t.repp);
+  t.gen <- Region.crash_count t.region
 
 (** Read from the persistent space during recovery (the region is down, the
     volatile replica may not be restored yet). *)
 let load_recovery t =
   if Slot.is_lost t.repp then
     invalid_arg "Patomic.load_recovery: unrecoverable slot";
-  (Slot.peek t.repp).v
+  Slot.peek t.repp
 
 (* -- introspection (tests, invariant checking) --------------------------- *)
 
-let discipline t = t.discipline
+let discipline t = if Slot.buffered t.repp then Buffered else Strict
 let line t = Slot.line t.repp
-let seq_v t = (Atomic.get t.repv).seq
-let seq_p t = (Slot.peek t.repp).seq
-let persisted_seq t = Option.map (fun c -> c.seq) (Slot.persisted_value t.repp)
-let persisted_value t = Option.map (fun c -> c.v) (Slot.persisted_value t.repp)
+let seq_v t = (Atomic.get t.repv).ver
+let seq_p t = (Slot.peek_entry t.repp).ver
+let persisted_seq t = Option.map (fun e -> e.ver) (Slot.persisted_entry t.repp)
+let persisted_value t = Slot.persisted_value t.repp
 let peek_v t = (Atomic.get t.repv).v
-let peek_p t = (Slot.peek t.repp).v
+let peek_p t = Slot.peek t.repp
+
+let entries t =
+  (Atomic.get t.repv, Slot.peek_entry t.repp, Slot.persisted_entry t.repp)
+
 let history_length t = Slot.history_length t.repp
 
 (** The durability invariant, safe to sample concurrently: sequence numbers

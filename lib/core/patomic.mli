@@ -3,7 +3,8 @@
     A persistent atomic variable with two replicas: [repp] in (simulated)
     NVMM — the only one flushed — and [repv] — the only one read — placed
     either in DRAM or at NVMM cost.  Each holds the value with a
-    monotonically increasing sequence number, updated by double-word CAS;
+    monotonically increasing sequence number — one shared
+    {!Mirror_nvm.Slot.entry} per write — updated by double-word CAS;
     writes go persistent-first (flush + fence) and are then mirrored, by
     the writer or by a helper, so everything a reader can observe is
     already durable.  Any linearizable lock-free structure written against
@@ -80,6 +81,14 @@ val persisted_seq : 'a t -> int option
 val persisted_value : 'a t -> 'a option
 val peek_v : 'a t -> 'a
 val peek_p : 'a t -> 'a
+
+val entries :
+  'a t ->
+  'a Mirror_nvm.Slot.entry
+  * 'a Mirror_nvm.Slot.entry
+  * 'a Mirror_nvm.Slot.entry option
+(** [repv]'s entry, [repp]'s current entry and the head of [repp]'s media
+    history — after a quiesced strict write, one and the same block. *)
 
 val history_length : 'a t -> int
 (** Entries in [repp]'s media history ({!Mirror_nvm.Slot.history_length}). *)

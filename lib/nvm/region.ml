@@ -1,15 +1,16 @@
 (** A simulated persistent-memory region with a crash controller.
 
     The region plays the role of the mmapped NVMM file of the paper (§4.2).
-    Persistent slots ({!Slot}) register themselves here; volatile state
-    (e.g. the DRAM replica of a [Patomic]) registers an invalidation closure.
-    [crash] then implements a full-system power failure:
+    Persistent slots ({!Slot}) register their crash resets here; volatile
+    state (e.g. the DRAM replica of a [Patomic]) compares a stamp with
+    {!crash_count} instead of registering anything.  [crash] then implements
+    a full-system power failure:
 
     - every cache line flushed but not yet fenced may or may not have reached
       the memory (decided by the {!crash_policy});
     - every dirty, unflushed line is lost (adversarial) or survives with the
       eviction probability (lenient);
-    - all volatile state is invalidated.
+    - all volatile state is invalidated (the crash count moves).
 
     A region can also simulate spontaneous cache eviction at run time
     ([runtime_evict_prob]): real caches write dirty lines back whenever they
@@ -73,10 +74,9 @@ type t = {
       (** one closure per registered persistent slot: optionally persist the
           current (cache) value, then reset the cache view to the persisted
           value *)
-  mutable volatile_invalidators : (unit -> unit) list;
   mutex : Mutex.t;
   mutable down : bool;
-  mutable track_slots : bool;
+  track_slots : bool;
       (** benches disable registration: they never crash and must not retain
           every node ever allocated *)
   mutable domain_pending : (unit -> unit) list ref list;
@@ -139,7 +139,6 @@ let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
     lines = [];
     domain_inflight = [];
     slot_resets = [];
-    volatile_invalidators = [];
     mutex = Mutex.create ();
     down = false;
     track_slots;
@@ -166,9 +165,10 @@ let elision t = t.elide
 let id t = t.id
 let slots_per_line t = t.slots_per_line
 
-(* Fences have no slot identity; announce with the region and the acting
-   thread/domain (gated on [Hooks.access_on] at the call site). *)
-let announce_fence t op =
+(* Fences and epoch events have no slot identity; announce with the region
+   and the acting thread/domain (gated on [Hooks.access_on] at the call
+   site). *)
+let announce_region t op seq =
   Hooks.access_point
     {
       Hooks.a_op = op;
@@ -177,7 +177,7 @@ let announce_fence t op =
       a_region = t.id;
       a_domain = (Domain.self () :> int);
       a_tid = Hooks.tid ();
-      a_seq = -1;
+      a_seq = seq;
       a_line = -1;
       a_protocol = Hooks.in_protocol ();
     }
@@ -187,36 +187,33 @@ let check_up t =
     invalid_arg
       "Mirror_nvm.Region: access to a crashed region before recovery"
 
-let register_slot t reset =
-  if t.track_slots then begin
-    Mutex.lock t.mutex;
-    t.slot_resets <- reset :: t.slot_resets;
-    Mutex.unlock t.mutex
-  end
+let tracks_slots t = t.track_slots
 
-let register_volatile t invalidate =
-  if t.track_slots then begin
-    Mutex.lock t.mutex;
-    t.volatile_invalidators <- invalidate :: t.volatile_invalidators;
-    Mutex.unlock t.mutex
-  end
+(* A line member's reset joins its line's, to share one survival draw. *)
+let register_slot t ?line reset =
+  Mutex.lock t.mutex;
+  (match line with
+  | Some l -> l.l_resets <- reset :: l.l_resets
+  | None -> t.slot_resets <- reset :: t.slot_resets);
+  Mutex.unlock t.mutex
 
 (* -- flush / fence ------------------------------------------------------- *)
 
-(* The calling domain's pending set for one region.  The hot path
-   (flush/fence) runs on every instrumented access, so the lookup is a
-   one-entry cache: a DLS record remembering the last region this domain
-   touched, making the common case one DLS load plus an int compare —
-   no hashing.  A domain alternating between regions falls back to the
-   private per-domain table; a genuinely first touch registers the set
-   with the region for crash processing.
+(* The calling domain's per-region sets (pending write-backs, in-flight
+   lines, deferred persists).  The hot path (flush/fence) runs on every
+   instrumented access, so each lookup is a one-entry cache: a DLS record
+   remembering the last region this domain touched, making the common
+   case one DLS load plus an int compare — no hashing.  A domain
+   alternating between regions falls back to the private per-domain
+   table; a genuinely first touch registers the set with the region for
+   crash processing.
 
    Registration publishes the set *after* it is linked into the region
    under [t.mutex], and refuses a region that is down: [crash] holds the
-   same mutex while snapshotting [domain_pending], so a first touch
-   racing a crash either lands before the snapshot (and is drained) or
-   observes [down] and raises — it can no longer register an orphan set
-   whose stale thunks a post-recovery fence would apply. *)
+   same mutex while snapshotting the sets, so a first touch racing a
+   crash either lands before the snapshot (and is drained) or observes
+   [down] and raises — it can no longer register an orphan set whose
+   stale thunks a post-recovery fence would apply. *)
 type 'a region_cache = {
   mutable c_id : int;  (** region id of [c_val]; [-1] when empty *)
   mutable c_val : 'a;
@@ -227,30 +224,39 @@ let refuse_down t =
   Mutex.unlock t.mutex;
   invalid_arg "Mirror_nvm.Region: access to a crashed region before recovery"
 
-let pending_key : (unit -> unit) list ref region_cache Domain.DLS.key =
+let cache_key fresh =
   Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = ref []; c_tbl = Hashtbl.create 8 })
+      { c_id = -1; c_val = fresh (); c_tbl = Hashtbl.create 8 })
 
-let my_pending t =
-  let c = Domain.DLS.get pending_key in
+(* The calling domain's set for [t]; a first touch makes it with [fresh]
+   and [link]s it into the region. *)
+let mine key t fresh link =
+  let c = Domain.DLS.get key in
   if c.c_id = t.id then c.c_val
   else begin
-    let r =
+    let v =
       match Hashtbl.find_opt c.c_tbl t.id with
-      | Some r -> r
+      | Some v -> v
       | None ->
-          let r = ref [] in
+          let v = fresh () in
           Mutex.lock t.mutex;
           if t.down then refuse_down t;
-          t.domain_pending <- r :: t.domain_pending;
+          link t v;
           Mutex.unlock t.mutex;
-          Hashtbl.add c.c_tbl t.id r;
-          r
+          Hashtbl.add c.c_tbl t.id v;
+          v
     in
     c.c_id <- t.id;
-    c.c_val <- r;
-    r
+    c.c_val <- v;
+    v
   end
+
+let pending_key : (unit -> unit) list ref region_cache Domain.DLS.key =
+  cache_key (fun () -> ref [])
+
+let my_pending t =
+  mine pending_key t (fun () -> ref []) (fun t r ->
+      t.domain_pending <- r :: t.domain_pending)
 
 (** Record a write-back thunk.  The snapshot semantics (what value gets
     persisted) is the caller's business: {!Slot.flush} captures the cache
@@ -262,33 +268,16 @@ let add_pending t thunk =
 (* -- cache lines ---------------------------------------------------------- *)
 
 (* The calling domain's in-flight line set (line uids flushed but not yet
-   fenced by this domain), same cached-record idiom as [pending_key].
-   Per-domain because a fence only orders the issuing CPU's own [clwb]s:
-   a line another domain flushed is not in flight for us. *)
+   fenced by this domain).  Per-domain because a fence only orders the
+   issuing CPU's own [clwb]s: a line another domain flushed is not in
+   flight for us. *)
 let inflight_key : (int, unit) Hashtbl.t region_cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = Hashtbl.create 0; c_tbl = Hashtbl.create 8 })
+  cache_key (fun () -> Hashtbl.create 0)
 
 let my_inflight t =
-  let c = Domain.DLS.get inflight_key in
-  if c.c_id = t.id then c.c_val
-  else begin
-    let h =
-      match Hashtbl.find_opt c.c_tbl t.id with
-      | Some h -> h
-      | None ->
-          let h = Hashtbl.create 8 in
-          Mutex.lock t.mutex;
-          if t.down then refuse_down t;
-          t.domain_inflight <- h :: t.domain_inflight;
-          Mutex.unlock t.mutex;
-          Hashtbl.add c.c_tbl t.id h;
-          h
-    in
-    c.c_id <- t.id;
-    c.c_val <- h;
-    h
-  end
+  mine inflight_key t
+    (fun () -> Hashtbl.create 8)
+    (fun t h -> t.domain_inflight <- h :: t.domain_inflight)
 
 (** Carve a fresh cache line and claim its first slot.  [None] when the
     region is slot-granular ([slots_per_line = 1]): no lines exist, every
@@ -331,12 +320,10 @@ let line_home l = l.l_home
 
 (** Register a member slot with its line: [persist] write-backs the slot's
     current content (called when the line's pending flush drains or the
-    line is evicted); [reset] is its crash reset, applied line-atomically.
-    Resets are gated on [track_slots] like {!register_slot}. *)
-let line_add_member t l ~persist ~reset =
+    line is evicted). *)
+let line_add_member t l persist =
   Mutex.lock t.mutex;
   l.l_members <- persist :: l.l_members;
-  if t.track_slots then l.l_resets <- reset :: l.l_resets;
   Mutex.unlock t.mutex
 
 (** Write back every member's current content — what draining the line's
@@ -367,59 +354,43 @@ let fence t =
     Hooks.persist_point Hooks.Fence_elided;
     let s = Stats.get () in
     s.Stats.fence_elided <- s.Stats.fence_elided + 1;
-    if !Hooks.access_on then announce_fence t Hooks.A_fence_elided;
+    if !Hooks.access_on then announce_region t Hooks.A_fence_elided (-1);
     Hooks.yield ()
   end
   else begin
     Hooks.persist_point Hooks.Fence;
-    Stats.((get ()).fence <- (get ()).fence + 1);
+    let s = Stats.get () in
+    s.Stats.fence <- s.Stats.fence + 1;
     Latency.fence ();
     let thunks = !r in
     r := [];
     if t.slots_per_line > 1 then Hashtbl.reset (my_inflight t);
     List.iter (fun f -> f ()) thunks;
-    if !Hooks.access_on then announce_fence t Hooks.A_fence;
+    if !Hooks.access_on then announce_region t Hooks.A_fence (-1);
     Hooks.yield ()
   end
 
-let pending_count t =
+(* Records across every domain's sets (introspection). *)
+let count_sets t sets =
   Mutex.lock t.mutex;
-  let n =
-    List.fold_left (fun acc r -> acc + List.length !r) 0 t.domain_pending
-  in
+  let n = List.fold_left (fun acc r -> acc + List.length !r) 0 (sets t) in
   Mutex.unlock t.mutex;
   n
 
+let pending_count t = count_sets t (fun t -> t.domain_pending)
+
 (* -- buffered persistence: the epoch clock -------------------------------- *)
 
-(* The calling domain's deferred set, same cached-record idiom as
-   [pending_key].  Unlike pending write-backs, deferred sets are also
-   drained by *other* domains (help-advance), so every append and drain is
-   under the region mutex — short sections, never across a yield. *)
+(* The calling domain's deferred set.  Unlike pending write-backs,
+   deferred sets are also drained by *other* domains (help-advance), so
+   every append and drain is under the region mutex — short sections,
+   never across a yield. *)
 let deferred_key : deferred list ref region_cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = ref []; c_tbl = Hashtbl.create 8 })
+  cache_key (fun () -> ref [])
 
 let my_deferred t =
-  let c = Domain.DLS.get deferred_key in
-  if c.c_id = t.id then c.c_val
-  else begin
-    let r =
-      match Hashtbl.find_opt c.c_tbl t.id with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Mutex.lock t.mutex;
-          if t.down then refuse_down t;
-          t.domain_deferred <- r :: t.domain_deferred;
-          Mutex.unlock t.mutex;
-          Hashtbl.add c.c_tbl t.id r;
-          r
-    in
-    c.c_id <- t.id;
-    c.c_val <- r;
-    r
-  end
+  mine deferred_key t (fun () -> ref []) (fun t r ->
+      t.domain_deferred <- r :: t.domain_deferred)
 
 let cur_epoch t = t.cur_epoch
 let durable_epoch t = t.durable_epoch
@@ -429,27 +400,7 @@ let set_epoch_len t n =
   if n < 1 then invalid_arg "Mirror_nvm.Region.set_epoch_len: n < 1";
   t.epoch_len <- n
 
-let deferred_count t =
-  Mutex.lock t.mutex;
-  let n =
-    List.fold_left (fun acc r -> acc + List.length !r) 0 t.domain_deferred
-  in
-  Mutex.unlock t.mutex;
-  n
-
-let announce_epoch t op seq =
-  Hooks.access_point
-    {
-      Hooks.a_op = op;
-      a_slot = -1;
-      a_pair = -1;
-      a_region = t.id;
-      a_domain = (Domain.self () :> int);
-      a_tid = Hooks.tid ();
-      a_seq = seq;
-      a_line = -1;
-      a_protocol = Hooks.in_protocol ();
-    }
+let deferred_count t = count_sets t (fun t -> t.domain_deferred)
 
 (** Commit every epoch up to [target]: close the open epoch if [target]
     includes it, drain all domains' deferred records tagged [<= target],
@@ -487,7 +438,7 @@ let advance_to t ~target =
         if target > t.durable_epoch then begin
           (if Array.length records > 0 then begin
              if !Hooks.access_on then
-               announce_epoch t Hooks.A_epoch_close target;
+               announce_region t Hooks.A_epoch_close target;
              (* newest version per slot, flushed in uid order: batching
                 turns n persists of one line into one flush.  The sort is
                 stable, so a version recorded twice keeps its first record
@@ -510,7 +461,7 @@ let advance_to t ~target =
           let s = Stats.get () in
           s.Stats.epoch_advance <- s.Stats.epoch_advance + 1;
           if !Hooks.access_on then
-            announce_epoch t Hooks.A_epoch_bump target;
+            announce_region t Hooks.A_epoch_bump target;
           Hooks.yield ()
         end)
 
@@ -551,13 +502,14 @@ let rec quiesce t =
 
 (* -- runtime eviction ---------------------------------------------------- *)
 
-let maybe_evict t (persist : unit -> unit) =
+let evict_hit t =
   if t.runtime_evict_prob > 0. then begin
     Mutex.lock t.mutex;
     let hit = Random.State.float t.rng 1.0 < t.runtime_evict_prob in
     Mutex.unlock t.mutex;
-    if hit then persist ()
+    hit
   end
+  else false
 
 (* -- crash --------------------------------------------------------------- *)
 
@@ -606,8 +558,8 @@ let crash ?(policy = Adversarial) t =
       List.iter (fun reset -> reset ~persist_first:s) l.l_resets)
     t.lines;
   (* 3. volatile memory (DRAM replicas, caches) is gone — including the
-     knowledge that a recovery may have been underway *)
-  List.iter (fun f -> f ()) t.volatile_invalidators;
+     knowledge that a recovery may have been underway.  Volatile replicas
+     see it through the crash count bumped above. *)
   t.in_recovery_session <- false;
   Mutex.unlock t.mutex
 

@@ -1,8 +1,9 @@
 (** A simulated persistent-memory region with a crash controller — the
     mmapped NVMM file of the paper (§4.2).
 
-    Slots register themselves here; volatile state (DRAM replicas) registers
-    invalidation closures.  {!crash} implements a full-system power failure;
+    Slots register their crash resets here; volatile state (DRAM replicas)
+    compares a stamp with {!crash_count}.  {!crash} implements a full-system
+    power failure;
     {!fence} commits the calling domain's pending write-backs;
     [runtime_evict_prob] simulates spontaneous cache eviction (an algorithm
     must tolerate *more* than it flushed becoming durable).
@@ -54,6 +55,8 @@ val id : t -> int
 (** Region identity carried on access events. *)
 
 val crash_count : t -> int
+(** Crashes so far: volatile state stamped with an older count was lost
+    and must be recovered before use. *)
 
 val set_elide : t -> bool -> unit
 (** Toggle flush/fence elision at run time. *)
@@ -65,8 +68,14 @@ val check_up : t -> unit
 (** @raise Invalid_argument when the region is down (access before
     recovery). *)
 
-val register_slot : t -> (persist_first:bool -> unit) -> unit
-val register_volatile : t -> (unit -> unit) -> unit
+val tracks_slots : t -> bool
+(** Whether slots register for crash processing ([track_slots]). *)
+
+val register_slot : t -> ?line:line -> (persist_first:bool -> unit) -> unit
+(** Register a slot's crash reset: optionally persist its current content,
+    then reset its cache view to the durable state.  A member of [line]
+    shares the line's one survival draw.  Callers register only on regions
+    that {!tracks_slots}. *)
 
 val add_pending : t -> (unit -> unit) -> unit
 (** Record a write-back thunk in the calling domain's pending set (used by
@@ -100,13 +109,10 @@ val line_home : line -> int
     it.  Accesses from other threads pay the NUMA remote-line surcharge
     when {!Latency.numa_remote_ns} is non-zero. *)
 
-val line_add_member :
-  t -> line -> persist:(unit -> unit) -> reset:(persist_first:bool -> unit)
-  -> unit
-(** Register a member slot: [persist] write-backs its current content when
-    the line's pending flush drains (or the line is evicted); [reset] is
-    its crash reset, applied line-atomically with one shared survival
-    draw.  Reset registration is gated on [track_slots]. *)
+val line_add_member : t -> line -> (unit -> unit) -> unit
+(** Register a member slot's write-back of its current content, run when
+    the line's pending flush drains (or the line is evicted).  Its crash
+    reset goes through {!register_slot}. *)
 
 val line_persist_members : line -> unit
 (** Write back every member's current content (runtime eviction of the
@@ -130,8 +136,9 @@ val fence : t -> unit
 val pending_count : t -> int
 (** Total pending write-backs across all domains (introspection). *)
 
-val maybe_evict : t -> (unit -> unit) -> unit
-(** Run the persist action with the region's runtime eviction probability. *)
+val evict_hit : t -> bool
+(** Draw a runtime eviction of the line just written: true with the
+    region's [runtime_evict_prob] (no draw at all when it is [0]). *)
 
 (** {1 Buffered persistence (the epoch clock)}
 

@@ -35,11 +35,10 @@ type 'a t = {
           allocating logical thread when lineless.  Accesses from other
           threads pay the NUMA remote-line surcharge when the
           {!Latency.numa_remote_ns} knob is on. *)
-  seq_of : ('a -> int) option;
-      (** value-seq extractor for access events: Mirror passes the cell's
-          sequence number so slot events and replica events share one
-          namespace; plain slots fall back to the internal line version *)
   current : 'a entry Atomic.t;
+      (** the coherent view; its [ver] is the value-sequence number every
+          access event announces.  Mirror's volatile replica holds the very
+          same entry once a write is mirrored: one block per write. *)
   persisted : 'a entry list Atomic.t;
       (** media history, newest (max [ver]) first, kept as the Pareto front
           over (version high, epoch low): an entry is dropped once another
@@ -50,15 +49,12 @@ type 'a t = {
           therefore hold at most one entry, the old single [persisted]
           word; buffered slots hold the committed entry plus one per
           uncommitted epoch. *)
-  lost : bool Atomic.t;
+  mutable lost : bool;
       (** set when a crash hits a slot that was never persisted: its
           post-crash content is garbage, and any access is a detected bug *)
 }
 
 let next_uid = Atomic.make 0
-
-let entry_seq t (e : 'a entry) =
-  match t.seq_of with Some f -> f e.v | None -> e.ver
 
 (* The epoch tag for a fresh write on this slot. *)
 let write_epoch t = if t.buffered then Region.cur_epoch t.region else 0
@@ -138,11 +134,34 @@ let rec persist_monotone t (e : 'a entry) =
         persist_monotone t e
   | exception Dominated -> ()
 
-let newest_persisted t =
+let persisted_entry t =
   match Atomic.get t.persisted with [] -> None | p :: _ -> Some p
 
+(* Crash reset: optionally write back the current content first (an
+   eviction that beat the crash), then roll the cache view back to what
+   the durable cut restores.  Entries from epochs the durable slot does
+   not cover are discarded even if they physically reached the media —
+   they may be part of an inconsistent (torn-epoch) state. *)
+let reset t ~persist_first =
+  if persist_first then persist_monotone t (Atomic.get t.current);
+  let de = Region.durable_epoch t.region in
+  let hist = Atomic.get t.persisted in
+  (* epochs fall along the front: anything above the cut is a prefix *)
+  let rolled_back = match hist with p :: _ -> p.ep > de | [] -> false in
+  match restorable de hist with
+  | None ->
+      Atomic.set t.persisted [];
+      t.lost <- true;
+      if rolled_back && !Hooks.access_on then
+        announce t Hooks.A_rollback ~seq:(-1)
+  | Some p ->
+      Atomic.set t.persisted [ p ];
+      Atomic.set t.current p;
+      if rolled_back && !Hooks.access_on then
+        announce t Hooks.A_rollback ~seq:p.ver
+
 let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
-    ?(buffered = false) ?line ?seq_of region v =
+    ?(buffered = false) ?line region v =
   (* buffered slots persist through the epoch clock, never through line
      write-backs: they take no line *)
   let line = if buffered then None else line in
@@ -158,41 +177,23 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
         (match line with
         | Some l -> Region.line_home l
         | None -> Hooks.tid ());
-      seq_of;
       current = Atomic.make e;
       persisted = Atomic.make (if persist then [ e ] else []);
-      lost = Atomic.make false;
+      lost = false;
     }
   in
-  let reset ~persist_first =
-    if persist_first then persist_monotone t (Atomic.get t.current);
-    (* the durable cut: entries from epochs the durable slot does not
-       cover are discarded even if they physically reached the media —
-       they may be part of an inconsistent (torn-epoch) state *)
-    let de = Region.durable_epoch region in
-    let hist = Atomic.get t.persisted in
-    (* epochs fall along the front: anything above the cut is a prefix *)
-    let rolled_back = match hist with p :: _ -> p.ep > de | [] -> false in
-    match restorable de hist with
-    | None ->
-        Atomic.set t.persisted [];
-        Atomic.set t.lost true;
-        if rolled_back && !Hooks.access_on then
-          announce t Hooks.A_rollback ~seq:(-1)
-    | Some p ->
-        Atomic.set t.persisted [ p ];
-        Atomic.set t.current p;
-        if rolled_back && !Hooks.access_on then
-          announce t Hooks.A_rollback ~seq:(entry_seq t p)
-  in
+  (* line membership: the line's write-back persists this slot's current
+     content *)
   (match line with
-  | None -> Region.register_slot region reset
   | Some l ->
-      (* line membership: the line's write-back persists this slot's
-         current content; its crash reset shares the line's survival draw *)
-      Region.line_add_member region l
-        ~persist:(fun () -> persist_monotone t (Atomic.get t.current))
-        ~reset);
+      Region.line_add_member region l (fun () ->
+          persist_monotone t (Atomic.get t.current))
+  | None -> ());
+  (* crash processing (a line member's reset shares the line's survival
+     draw); untracked regions never reset a slot, so they get no closure *)
+  if Region.tracks_slots region then
+    Region.register_slot region ?line (fun ~persist_first ->
+        reset t ~persist_first);
   let coalesced_birth =
     charge_copy && persist
     &&
@@ -223,14 +224,14 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
       | None -> ()
     end
   end;
-  if !Hooks.access_on then announce t (Hooks.A_make persist) ~seq:(entry_seq t e);
+  if !Hooks.access_on then announce t (Hooks.A_make persist) ~seq:e.ver;
   if coalesced_birth && !Hooks.access_on then
-    announce t Hooks.A_flush_coalesced ~seq:(entry_seq t e);
+    announce t Hooks.A_flush_coalesced ~seq:e.ver;
   t
 
 let check t =
   Region.check_up t.region;
-  if Atomic.get t.lost then
+  if t.lost then
     invalid_arg
       "Mirror_nvm.Slot: reading a slot whose content was lost in a crash \
        (never persisted): the recovery procedure reached unrecoverable data"
@@ -246,8 +247,9 @@ let charge_remote t =
     Latency.remote ()
   end
 
-(** Load from NVMM (paying the 3x-DRAM read cost). *)
-let load t =
+(** Load from NVMM (paying the 3x-DRAM read cost); the whole entry, so
+    Mirror reads the value and its sequence number in one access. *)
+let load_entry t =
   Hooks.yield ();
   check t;
   let s = Stats.get () in
@@ -255,10 +257,29 @@ let load t =
   Latency.nvm_read ();
   charge_remote t;
   let e = Atomic.get t.current in
-  if !Hooks.access_on then announce t Hooks.A_load ~seq:(entry_seq t e);
-  e.v
+  if !Hooks.access_on then announce t Hooks.A_load ~seq:e.ver;
+  e
 
-(** Unconditional store.  Versions stay monotone under concurrency. *)
+let load t = (load_entry t).v
+
+(* The tail of every successful write: announce it, then draw a runtime
+   eviction, which writes the line back. *)
+let wrote t op e =
+  if !Hooks.access_on then announce t op ~seq:e.ver;
+  if Region.evict_hit t.region then
+    match t.line with
+    | Some l -> Region.line_persist_members l
+    | None -> persist_monotone t e
+
+(* The write loops are toplevel functions, so a write allocates its entry
+   and nothing else.  Versions stay monotone under concurrency. *)
+let rec store_loop t v =
+  let cur = Atomic.get t.current in
+  let e = { v; ver = cur.ver + 1; ep = write_epoch t } in
+  if Atomic.compare_and_set t.current cur e then wrote t Hooks.A_store e
+  else store_loop t v
+
+(** Unconditional store. *)
 let store t v =
   Hooks.yield ();
   check t;
@@ -267,54 +288,63 @@ let store t v =
   s.Stats.nvm_write <- s.Stats.nvm_write + 1;
   Latency.nvm_write ();
   charge_remote t;
-  let rec go () =
-    let cur = Atomic.get t.current in
-    let e = { v; ver = cur.ver + 1; ep = write_epoch t } in
-    if Atomic.compare_and_set t.current cur e then begin
-      if !Hooks.access_on then announce t Hooks.A_store ~seq:(entry_seq t e);
-      Region.maybe_evict t.region (fun () ->
-          match t.line with
-          | Some l -> Region.line_persist_members l
-          | None -> persist_monotone t e)
-    end
-    else go ()
-  in
-  go ()
+  store_loop t v
 
-(** Compare-and-swap where the caller decides equality via [expect] (physical
-    equality for pointers, content equality for Mirror's double-word cells).
-    Returns [(success, witnessed_value)] — like [cmpxchg], the witness is the
-    value that was in memory when the instruction executed. *)
-let cas_pred t ~(expect : 'a -> bool) ~(desired : 'a) : bool * 'a =
+let begin_cas t =
   Hooks.yield ();
   check t;
   Hooks.persist_point Hooks.Dwcas;
   let s = Stats.get () in
   s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
   Latency.nvm_write ();
-  charge_remote t;
-  let rec go () =
-    let cur = Atomic.get t.current in
-    if expect cur.v then begin
-      let e = { v = desired; ver = cur.ver + 1; ep = write_epoch t } in
-      if Atomic.compare_and_set t.current cur e then begin
-        if !Hooks.access_on then
-          announce t (Hooks.A_cas true) ~seq:(entry_seq t e);
-        Region.maybe_evict t.region (fun () ->
-            match t.line with
-            | Some l -> Region.line_persist_members l
-            | None -> persist_monotone t e);
-        (true, cur.v)
-      end
-      else go ()
+  charge_remote t
+
+let cas_failed t cur =
+  if !Hooks.access_on then announce t (Hooks.A_cas false) ~seq:cur.ver
+
+let rec cas_pred_loop t expect desired =
+  let cur = Atomic.get t.current in
+  if expect cur.v then begin
+    let e = { v = desired; ver = cur.ver + 1; ep = write_epoch t } in
+    if Atomic.compare_and_set t.current cur e then begin
+      wrote t (Hooks.A_cas true) e;
+      (true, cur.v)
     end
-    else begin
-      if !Hooks.access_on then
-        announce t (Hooks.A_cas false) ~seq:(entry_seq t cur);
-      (false, cur.v)
+    else cas_pred_loop t expect desired
+  end
+  else begin
+    cas_failed t cur;
+    (false, cur.v)
+  end
+
+(** Compare-and-swap where the caller decides equality via [expect].
+    Returns [(success, witnessed_value)] — like [cmpxchg], the witness is
+    the value that was in memory when the instruction executed. *)
+let cas_pred t ~(expect : 'a -> bool) ~(desired : 'a) : bool * 'a =
+  begin_cas t;
+  cas_pred_loop t expect desired
+
+let rec dwcas_loop t (expected : 'a entry) desired =
+  let cur = Atomic.get t.current in
+  if cur.v == expected.v && cur.ver = expected.ver then begin
+    let e = { v = desired; ver = cur.ver + 1; ep = write_epoch t } in
+    if Atomic.compare_and_set t.current cur e then begin
+      wrote t (Hooks.A_cas true) e;
+      (true, e)
     end
-  in
-  go ()
+    else dwcas_loop t expected desired
+  end
+  else begin
+    cas_failed t cur;
+    (false, cur)
+  end
+
+(** Mirror's double-word CAS: compare value (physical equality, as a
+    hardware word compare) and version, install [desired] under the next
+    version.  Returns [(true, installed)] or [(false, witnessed)]. *)
+let dwcas t ~expected ~desired =
+  begin_cas t;
+  dwcas_loop t expected desired
 
 (** Plain pointer-equality CAS. *)
 let cas t ~expected ~desired =
@@ -328,6 +358,27 @@ let is_dirty t =
   match Atomic.get t.persisted with
   | [] -> true
   | p :: _ -> p.ver < (Atomic.get t.current).ver
+
+(* A redundant write-back skipped under elision, announced with the
+   version found durable. *)
+let flush_elided t seq =
+  Hooks.persist_point Hooks.Flush_elided;
+  let s = Stats.get () in
+  s.Stats.flush_elided <- s.Stats.flush_elided + 1;
+  if !Hooks.access_on then announce t Hooks.A_flush_elided ~seq
+
+(* The persist event and cost of a charged [clwb]. *)
+let flush_charged t =
+  Hooks.persist_point Hooks.Flush;
+  let s = Stats.get () in
+  s.Stats.flush <- s.Stats.flush + 1;
+  Latency.flush ();
+  charge_remote t
+
+(* Record the write-back of [snapshot] in the domain's pending set. *)
+let write_back t snapshot =
+  Region.add_pending t.region (fun () -> persist_monotone t snapshot);
+  if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
 
 (** [clwb]: record a write-back of the line's current content.  The value is
     guaranteed persistent only once a subsequent {!Region.fence} completes,
@@ -345,17 +396,13 @@ let flush t =
   Hooks.yield ();
   check t;
   if Region.elision t.region && not (is_dirty t) then begin
-    Hooks.persist_point Hooks.Flush_elided;
-    let s = Stats.get () in
-    s.Stats.flush_elided <- s.Stats.flush_elided + 1;
+    flush_elided t (Atomic.get t.current).ver;
     (* keep the line's in-flight state identical to the un-elided run (the
        charged flush below would have marked it): the mark only ever
        persists *more* at the fence, which a real cache may do anyway *)
-    (match t.line with
+    match t.line with
     | Some l -> Region.mark_line_flushed t.region l
-    | None -> ());
-    if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get t.current))
+    | None -> ()
   end
   else
     match t.line with
@@ -368,26 +415,15 @@ let flush t =
         s.Stats.flush_coalesced <- s.Stats.flush_coalesced + 1;
         if !Hooks.access_on then
           announce t Hooks.A_flush_coalesced
-            ~seq:(entry_seq t (Atomic.get t.current))
+            ~seq:(Atomic.get t.current).ver
     | Some l ->
-        Hooks.persist_point Hooks.Flush;
-        let s = Stats.get () in
-        s.Stats.flush <- s.Stats.flush + 1;
-        Latency.flush ();
-        charge_remote t;
+        flush_charged t;
         Region.mark_line_flushed t.region l;
         if !Hooks.access_on then
-          announce t Hooks.A_flush ~seq:(entry_seq t (Atomic.get t.current))
+          announce t Hooks.A_flush ~seq:(Atomic.get t.current).ver
     | None ->
-        Hooks.persist_point Hooks.Flush;
-        let s = Stats.get () in
-        s.Stats.flush <- s.Stats.flush + 1;
-        Latency.flush ();
-        charge_remote t;
-        let snapshot = Atomic.get t.current in
-        Region.add_pending t.region (fun () -> persist_monotone t snapshot);
-        if !Hooks.access_on then
-          announce t Hooks.A_flush ~seq:(entry_seq t snapshot)
+        flush_charged t;
+        write_back t (Atomic.get t.current)
 
 (* The epoch advancer's flush of a deferred snapshot: the charged-cost
    twin of {!flush}, but over the snapshot captured at record time (a
@@ -395,22 +431,11 @@ let flush t =
    when the front already covers the snapshot (e.g. spontaneous eviction
    beat the advance to it). *)
 let flush_snapshot t snapshot =
-  if Region.elision t.region && covers snapshot (Atomic.get t.persisted)
-  then begin
-    Hooks.persist_point Hooks.Flush_elided;
-    let s = Stats.get () in
-    s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-    if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t snapshot)
-  end
+  if Region.elision t.region && covers snapshot (Atomic.get t.persisted) then
+    flush_elided t snapshot.ver
   else begin
-    Hooks.persist_point Hooks.Flush;
-    let s = Stats.get () in
-    s.Stats.flush <- s.Stats.flush + 1;
-    Latency.flush ();
-    charge_remote t;
-    Region.add_pending t.region (fun () -> persist_monotone t snapshot);
-    if !Hooks.access_on then announce t Hooks.A_flush ~seq:(entry_seq t snapshot)
+    flush_charged t;
+    write_back t snapshot
   end;
   Hooks.yield ()
 
@@ -422,17 +447,12 @@ let flush_snapshot t snapshot =
 let persist_deferred t =
   Hooks.yield ();
   check t;
-  if Region.elision t.region && not (is_dirty t) then begin
-    Hooks.persist_point Hooks.Flush_elided;
-    let s = Stats.get () in
-    s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-    if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get t.current))
-  end
+  if Region.elision t.region && not (is_dirty t) then
+    flush_elided t (Atomic.get t.current).ver
   else begin
     let snapshot = Atomic.get t.current in
     if !Hooks.access_on then
-      announce t Hooks.A_persist_deferred ~seq:(entry_seq t snapshot);
+      announce t Hooks.A_persist_deferred ~seq:snapshot.ver;
     Region.record_deferred t.region ~uid:t.uid ~ver:snapshot.ver
       ~flush:(fun () -> flush_snapshot t snapshot)
   end
@@ -446,13 +466,13 @@ let recover_store t v =
   let e = { v; ver = cur.ver + 1; ep = 0 } in
   Atomic.set t.current e;
   Atomic.set t.persisted [ e ];
-  Atomic.set t.lost false;
+  t.lost <- false;
   if !Hooks.access_on then
-    announce t Hooks.A_recovery_write ~seq:(entry_seq t e)
+    announce t Hooks.A_recovery_write ~seq:e.ver
 
 (** Test/recovery introspection: what would survive a crash right now
     (assuming pending write-backs are lost). *)
-let persisted_value t = Option.map (fun e -> e.v) (newest_persisted t)
+let persisted_value t = Option.map (fun e -> e.v) (persisted_entry t)
 
 (** What the durable-epoch cut would restore right now: the newest
     persisted entry from a committed epoch (test/recovery introspection). *)
@@ -461,9 +481,10 @@ let durable_value t =
   Option.map (fun p -> p.v) (restorable de (Atomic.get t.persisted))
 
 (** The coherent (cache) view, without charging costs — test-only. *)
-let peek t = (Atomic.get t.current).v
-
-let is_lost t = Atomic.get t.lost
+let peek_entry t = Atomic.get t.current
+let peek t = (peek_entry t).v
+let is_lost t = t.lost
+let buffered t = t.buffered
 let region t = t.region
 let uid t = t.uid
 let pair t = t.pair

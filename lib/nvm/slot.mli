@@ -10,13 +10,20 @@
 
 type 'a t
 
+type 'a entry = { v : 'a; ver : int; ep : int }
+(** One immutable write: the value, its version and the epoch that wrote
+    it ([0] on strict slots).  Versions start at [0] and step by one per
+    successful write, and are the value-sequence numbers access events
+    announce.  The same entry is the slot's coherent view and, once written
+    back, its media-history entry — and Mirror's volatile replica holds it
+    too: a Mirror write is one block. *)
+
 val make :
   ?persist:bool ->
   ?charge_copy:bool ->
   ?pair:int ->
   ?buffered:bool ->
   ?line:Region.line ->
-  ?seq_of:('a -> int) ->
   Region.t ->
   'a ->
   'a t
@@ -33,10 +40,8 @@ val make :
     variable this slot is the persistent replica of, for access-event
     attribution.  [line] carves the slot from a cache line obtained via
     {!Region.place}/{!Region.place_near}: line-mates share write-backs
-    and crash fate (ignored on buffered slots).  [seq_of] extracts
-    the value-sequence number announced on access events (Mirror passes the
-    cell's seq so replica events share one namespace); the default is the
-    slot's internal line version.  [buffered] (default [false]) puts the
+    and crash fate (ignored on buffered slots).  [buffered] (default
+    [false]) puts the
     slot under the buffered discipline: writes tag the region's open epoch
     and {!persist_deferred} records into the epoch's deferred set; crash
     recovery rolls the slot back to the newest write from a committed
@@ -44,6 +49,9 @@ val make :
 
 val load : 'a t -> 'a
 (** Load from NVMM, paying the NVMM read cost. *)
+
+val load_entry : 'a t -> 'a entry
+(** {!load}, returning the whole entry (value and version in one read). *)
 
 val store : 'a t -> 'a -> unit
 (** Unconditional store (cache only until flushed). *)
@@ -54,6 +62,13 @@ val cas : 'a t -> expected:'a -> desired:'a -> bool
 val cas_pred : 'a t -> expect:('a -> bool) -> desired:'a -> bool * 'a
 (** CAS with caller-defined equality (content comparison for Mirror's
     double-word cells).  Returns [(success, witnessed_value)]. *)
+
+val dwcas : 'a t -> expected:'a entry -> desired:'a -> bool * 'a entry
+(** Mirror's double-word CAS: succeeds when the current entry has
+    [expected]'s value (physical equality) and version, installing
+    [desired] under the next version.  Returns [(true, installed entry)]
+    or [(false, witnessed entry)]; charged and announced like
+    {!cas_pred}. *)
 
 val flush : 'a t -> unit
 (** [clwb]: record a write-back of the line's current content; guaranteed
@@ -95,9 +110,20 @@ val durable_value : 'a t -> 'a option
 val peek : 'a t -> 'a
 (** The coherent view without cost accounting — tests and recovery only. *)
 
+val peek_entry : 'a t -> 'a entry
+(** {!peek}, returning the whole entry. *)
+
+val persisted_entry : 'a t -> 'a entry option
+(** The head of the media history, whose value {!persisted_value} is. *)
+
 val is_lost : 'a t -> bool
 (** True after a crash hit this slot before anything was persisted; any
     subsequent access is a detected use-of-garbage bug. *)
+
+val announce : 'a t -> Hooks.access_op -> seq:int -> unit
+(** Announce one access event attributed to this slot (its uid, pair,
+    region and line); Mirror announces its volatile-replica accesses
+    through its persistent replica.  Callers gate on {!Hooks.access_on}. *)
 
 val region : 'a t -> Region.t
 
@@ -111,11 +137,10 @@ val line : 'a t -> Region.line option
 (** The cache line this slot was carved from ([None] on slot-granular
     regions and buffered slots). *)
 
-(** {1 The media history (test introspection)} *)
+val buffered : 'a t -> bool
+(** Whether the slot is under the buffered discipline. *)
 
-type 'a entry = { v : 'a; ver : int; ep : int }
-(** One media-history entry: the value, its line version and the epoch
-    that wrote it ([0] on strict slots). *)
+(** {1 The media history (test introspection)} *)
 
 val offer : durable:int -> 'a entry list -> 'a entry -> 'a entry list option
 (** The write-back rule on a bare history: offering [e] to [front] (newest

@@ -150,9 +150,8 @@ let deterministic rel = List.exists (fun d -> under d rel) deterministic_dirs
 let region_data_plane =
   [
     "fence"; "place"; "place_near"; "line_add_member"; "line_persist_members";
-    "line_in_flight"; "mark_line_flushed"; "record_deferred"; "announce_fence";
-    "announce_epoch"; "advance_to"; "maybe_evict"; "register_slot";
-    "register_volatile";
+    "line_in_flight"; "mark_line_flushed"; "record_deferred";
+    "announce_region"; "advance_to"; "evict_hit"; "register_slot";
   ]
 
 (* -- parsetree helpers ------------------------------------------------------ *)

@@ -2,7 +2,7 @@
     lemmas as executable invariants under deterministic interleavings, the
     Figure 3 helping scenario, crash/recovery, and linearizability of the
     load/CAS implementation against an atomic-register specification
-    (Lemma 5.2). *)
+    (Lemma 5.2), and the variable's memory layout. *)
 
 open Mirror_core
 module Sched = Mirror_schedsim.Sched
@@ -357,6 +357,198 @@ let prop_crash_recover_idempotent =
       Region.mark_recovered r;
       Patomic.load v = expect)
 
+(* -- the access-event stream, pinned ------------------------------------------ *)
+
+(* A fixed schedsim scenario over strict and buffered Mirror lists: three
+   logical threads run until a step budget cuts them mid-operation, the
+   region crashes, the list is recovered, and three more threads finish.
+   Every access event psan and mcheck consume is rendered as (op, slot,
+   pair, tid, seq, line, protocol), with slot, pair and line uids renumbered
+   in first-seen order (the raw uids are global counters).  The digests
+   were taken when the replicas held separate { v; seq } cells and the slot
+   announced the cell's seq; they still hold with the slot version serving
+   as the sequence number, so no event psan or mcheck sees has moved. *)
+let access_stream name =
+  let module Sets = Mirror_dstruct.Sets in
+  let module Hooks = Mirror_nvm.Hooks in
+  let region = Region.create ~epoch_len:4 () in
+  let (module S) = Sets.make Sets.List_ds (Support.prim region name) in
+  let t = S.create ~capacity:16 () in
+  let rc = Recovery.create region in
+  Recovery.register_tracer rc (fun () -> S.recover t);
+  let buf = Buffer.create 65536 in
+  let renum tbl raw =
+    if raw < 0 then raw
+    else
+      match Hashtbl.find_opt tbl raw with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length tbl in
+          Hashtbl.add tbl raw i;
+          i
+  in
+  let slots = Hashtbl.create 64
+  and pairs = Hashtbl.create 64
+  and lines = Hashtbl.create 64 in
+  let record (a : Hooks.access) =
+    Printf.bprintf buf "%s %d %d %d %d %d %b\n"
+      (Hooks.access_op_name a.a_op)
+      (renum slots a.a_slot) (renum pairs a.a_pair) a.a_tid a.a_seq
+      (renum lines a.a_line) a.a_protocol
+  in
+  let worker w () =
+    for i = 0 to 5 do
+      let k = ((w * 3) + i) mod 12 in
+      if i mod 2 = 0 then ignore (S.insert t k ((w * 100) + i))
+      else ignore (S.remove t k)
+    done
+  in
+  Hooks.with_access record (fun () ->
+      for k = 0 to 5 do
+        ignore (S.insert t (2 * k) k)
+      done;
+      ignore (Sched.run ~seed:3 ~max_steps:150 [ worker 0; worker 1; worker 2 ]);
+      Recovery.crash rc;
+      Recovery.recover rc;
+      let o = Sched.run ~seed:5 [ worker 3; worker 4; worker 5 ] in
+      check o.Sched.completed "post-recovery run completes");
+  Buffer.contents buf
+
+let test_access_stream_pinned () =
+  List.iter
+    (fun (name, want) ->
+      let s = access_stream name in
+      let events = List.length (String.split_on_char '\n' s) - 1 in
+      Alcotest.(check string)
+        (Printf.sprintf "%s list: digest of %d access events" name events)
+        want
+        (Digest.to_hex (Digest.string s)))
+    [ ("mirror", "d7670847c8d0cb1378ac900768cb7b38"); ("buffered", "67d67acd569a0b40497e2f2c69a35b4c") ]
+
+(* -- memory layout ------------------------------------------------------------ *)
+
+let footprint_n = 1_000
+
+(* Heap words one Mirror variable holds, over [footprint_n] int variables
+   made on one slot-granular region: the words reachable from the
+   variables, less the region's own words and the array holding them (an
+   int payload takes none).  [~cas] runs one CAS on each and quiesces the
+   region first.  On a tracked region the region's words are taken before
+   the variables exist, so the crash-reset closures it keeps for them
+   count as theirs. *)
+let words_per_variable ?(track = false) ?(discipline = Patomic.Strict)
+    ?(cas = false) () =
+  let region = Region.create ~track_slots:track ~epoch_len:256 () in
+  let before = Obj.reachable_words (Obj.repr region) in
+  let vars = Array.init footprint_n (fun i -> Patomic.make ~discipline region i) in
+  if cas then begin
+    let ok = ref true in
+    Array.iteri
+      (fun i v -> ok := Patomic.cas v ~expected:i ~desired:(i + 1) && !ok)
+      vars;
+    check !ok "every CAS succeeds";
+    Region.quiesce region
+  end;
+  let region_words =
+    if track then before else Obj.reachable_words (Obj.repr region)
+  in
+  float_of_int
+    (Obj.reachable_words (Obj.repr vars) - region_words - (footprint_n + 1))
+  /. float_of_int footprint_n
+
+(* The layout before one entry was shared between the replicas (a cell
+   inside a slot entry, a validity box, a boxed lost flag, a seq extractor
+   and an invalidation closure per variable) measured 41, 51 and 56 words
+   under this test. *)
+let test_footprint () =
+  List.iter
+    (fun (what, words, bound) ->
+      check (words <= bound)
+        (Printf.sprintf "%s: %.3f words per variable, bound %.0f" what words
+           bound))
+    [
+      ("strict", words_per_variable (), 29.);
+      ( "buffered after one CAS",
+        words_per_variable ~discipline:Patomic.Buffered ~cas:true (),
+        36. );
+      ("strict on a tracked region", words_per_variable ~track:true (), 36.);
+    ]
+
+(* Minor-heap words allocated by a one-domain strict Mirror hash over a
+   fixed seeded stream of updates (1024 keys half full) — the strict twin
+   of the buffered gate in t_buffered.ml.  The count is exact for a fixed
+   op count, so the bound is the measured total itself. *)
+let strict_words_ops = 20_000
+let strict_words_bound = 1_205_043
+
+let strict_hash_words () =
+  let module Sets = Mirror_dstruct.Sets in
+  let module W = Mirror_workload.Workload in
+  let module Rng = Mirror_workload.Rng in
+  let range = 1024 and warm = 2_000 and n = strict_words_ops in
+  let region = Region.create ~track_slots:false () in
+  let (module S) = Sets.make Sets.Hash_ds (Support.prim region "mirror") in
+  let t = S.create ~capacity:range () in
+  List.iter (fun k -> ignore (S.insert t k k)) (W.prefill_keys ~range);
+  let rng = Rng.create 42 in
+  let ops =
+    Array.init (warm + n) (fun _ -> W.gen rng (W.of_updates 100) ~range)
+  in
+  let run lo hi =
+    for i = lo to hi - 1 do
+      match ops.(i) with
+      | W.Lookup k -> ignore (S.contains t k)
+      | Insert (k, _) -> ignore (S.insert t k i)
+      | Remove k -> ignore (S.remove t k)
+    done
+  in
+  (* the first ops touch the region's per-domain caches: keep them out *)
+  run 0 warm;
+  let w0 = Gc.minor_words () in
+  run warm (warm + n);
+  int_of_float (Gc.minor_words () -. w0)
+
+let test_strict_words_gate () =
+  let w = strict_hash_words () in
+  check (w <= strict_words_bound)
+    (Printf.sprintf "strict hash allocates %d words over %d ops (%.4f/op), bound %d"
+       w strict_words_ops
+       (float_of_int w /. float_of_int strict_words_ops)
+       strict_words_bound)
+
+(* One block per write: after a quiesced strict CAS, the volatile replica,
+   the persistent replica's coherent view and the head of its media
+   history are the very entry the CAS built. *)
+let test_one_block_per_write () =
+  let r = Support.fresh_region () in
+  let v = Patomic.make r 5 in
+  check (Patomic.cas v ~expected:5 ~desired:6) "cas";
+  let repv, repp, front = Patomic.entries v in
+  check (repv == repp) "repv holds repp's current entry";
+  check
+    (match front with Some e -> e == repp | None -> false)
+    "the media-front head is the same entry";
+  check (repp.ver = 1 && repp.v = 6) "the entry is the CAS's (seq 1)"
+
+(* A crash invalidates every Mirror variable, tracked region or not: each
+   compares its stamp with the region's crash count, so no registration is
+   needed for the access to be caught. *)
+let test_untracked_crash_invalidates () =
+  let r = Support.fresh_region ~track:false () in
+  let v = Patomic.make r 1 in
+  Patomic.store v 2;
+  Region.crash r;
+  Region.mark_recovered r;
+  check
+    (try
+       ignore (Patomic.load v);
+       false
+     with Invalid_argument _ -> true)
+    "access before recovery raises";
+  Patomic.recover v;
+  check (Patomic.load v = 2) "recovered variable readable";
+  check (Patomic.cas v ~expected:2 ~desired:3) "and writable"
+
 let suite =
   [
     ( "patomic",
@@ -386,5 +578,14 @@ let suite =
           test_exhaustive_durable_register;
         QCheck_alcotest.to_alcotest prop_random_ops_keep_invariants;
         QCheck_alcotest.to_alcotest prop_crash_recover_idempotent;
+        Alcotest.test_case "access stream pinned" `Quick
+          test_access_stream_pinned;
+        Alcotest.test_case "words per variable" `Quick test_footprint;
+        Alcotest.test_case "one block per write" `Quick
+          test_one_block_per_write;
+        Alcotest.test_case "strict hash words gate" `Quick
+          test_strict_words_gate;
+        Alcotest.test_case "untracked crash invalidates" `Quick
+          test_untracked_crash_invalidates;
       ] );
   ]
