@@ -17,11 +17,13 @@
     please, so an algorithm must be correct even when *more* than it flushed
     gets persisted.
 
-    Pending write-backs are tracked in a **per-domain** set: [sfence] drains
-    the write-backs recorded by the calling domain (on hardware, a fence
-    orders the issuing CPU's own [clwb]s; under the deterministic scheduler
-    all logical threads share one domain and hence one set, which recovers
-    the seed's global-drain behavior exactly).  When the region's elision
+    Write-backs are tracked in a **per-domain** persist record: [sfence]
+    drains the write-backs recorded by the calling domain (on hardware, a
+    fence orders the issuing CPU's own [clwb]s; under the deterministic
+    scheduler all logical threads share one domain and hence one record,
+    which recovers the seed's global-drain behavior exactly).  A
+    write-back is a (slot, snapshot) pair, so recording one allocates
+    that pair and nothing else.  When the region's elision
     mode is on, a fence that finds its domain's set empty is a no-op — it is
     counted as [fence_elided] and charges no latency (Cai et al., *Fast
     Nonblocking Persistence*: fences can be elided when no write-back is
@@ -33,43 +35,35 @@ type crash_policy =
   | Eviction of float
       (** each un-fenced write independently survives with probability [p] *)
 
-(** One deferred persist, recorded by a buffered slot instead of flushing:
-    the snapshot to write back is captured in [d_flush] at record time (a
-    later advance must not persist content from a younger epoch, or the
-    recovered state stops being a consistent cut). *)
-type deferred = {
-  d_epoch : int;  (** the epoch that produced the write *)
-  d_uid : int;  (** slot uid, for per-advance deduplication *)
-  d_ver : int;  (** value version, ditto (keep the newest per slot) *)
-  d_flush : unit -> unit;  (** charged flush of the snapshot *)
-}
+type 'a entry = { v : 'a; ver : int; ep : int }  (** see {!Slot.entry} *)
 
 (** A simulated cache line: slots carved from the same line share their
-    write-back and their crash fate.  [l_members] holds one persist closure
-    per member slot (the line's write-back persists all of them);
-    [l_resets] holds the members' crash resets, applied with a single
-    shared survival draw so a lost line loses every member together.
-    Members are appended at slot-allocation time and never removed. *)
+    write-back and their crash fate.  [l_members] holds the member slots
+    (the line's write-back persists all of them); [l_resets] holds the
+    members' crash resets, applied with a single shared survival draw so
+    a lost line loses every member together.  Members are appended at
+    slot-allocation time and never removed. *)
 type line = {
   l_uid : int;
   l_home : int;  (** home domain: the logical thread that carved the line *)
   mutable l_filled : int;  (** slots carved so far (≤ [slots_per_line]) *)
-  mutable l_members : (unit -> unit) list;
+  mutable l_members : member list;
   mutable l_resets : (persist_first:bool -> unit) list;
+  mutable l_mark : int;
+      (** the in-flight stamp of the persist record that last flushed the
+          line: in flight for that record while the stamp is current *)
 }
 
-type t = {
-  id : int;  (** key into each domain's pending-set table *)
+and member = M : 'a slot -> member
+
+and t = {
+  id : int;  (** key of each domain's one-entry persist-record cache *)
   slots_per_line : int;
       (** slots carved per simulated cache line; [1] = the historical
           slot-granular model (no lines exist, nothing coalesces) *)
   mutable lines : line list;
       (** every line carved from this region, for crash processing (gated
           on [track_slots], like [slot_resets]) *)
-  mutable domain_inflight : (int, unit) Hashtbl.t list;
-      (** every domain's in-flight line set for this region (line uids
-          flushed but not yet fenced by that domain), for crash clearing;
-          each table is only mutated by its owning domain *)
   mutable slot_resets : (persist_first:bool -> unit) list;
       (** one closure per registered persistent slot: optionally persist the
           current (cache) value, then reset the cache view to the persisted
@@ -79,10 +73,9 @@ type t = {
   track_slots : bool;
       (** benches disable registration: they never crash and must not retain
           every node ever allocated *)
-  mutable domain_pending : (unit -> unit) list ref list;
-      (** every domain's pending write-back set for this region, for crash
-          processing and introspection; each ref is only mutated by its
-          owning domain *)
+  mutable records : record list;
+      (** every domain's persist record for this region, for crash
+          processing and introspection *)
   mutable elide : bool;
       (** flush/fence elision mode: skip (and count as elided) flushes of
           clean lines and fences with nothing pending *)
@@ -116,17 +109,55 @@ type t = {
           the advance's fence, so a crash never tears it).  Recovery keeps
           exactly the writes tagged [<= durable_epoch]. *)
   mutable cur_count : int;  (** deferred persists recorded in [cur_epoch] *)
-  mutable domain_deferred : deferred list ref list;
-      (** every domain's deferred set for this region; appends and drains
-          are under [mutex] (the advancer drains other domains' sets) *)
+  batch : wbs;
+      (** the advancer's working set: the deferred write-backs it took,
+          sorted by slot; owned by whoever holds [advancing] and emptied
+          when it lets go *)
   advancing : bool Atomic.t;
       (** advance claim flag: help-advance is nonblocking — a thread that
           finds an advance in flight just returns (buffered completion
           never waits for durability) *)
 }
 
+(* The record behind {!Slot.t} (documented there), declared here so that
+   a write-back names its slot and snapshot without a closure. *)
+and 'a slot = {
+  region : t;
+  uid : int;
+  pair : int;
+  line : line option;
+  buffered : bool;
+  home : int;
+  current : 'a entry Atomic.t;
+  persisted : 'a entry list Atomic.t;
+  mutable lost : bool;
+}
+
+(** One write-back: the slot and the snapshot to persist (a charged flush
+    or a deferred persist), or a whole line.  [Nil] fills unused cells. *)
+and wb = Nil | Line of line | Wb : 'a slot * 'a entry -> wb
+
+(** A single-writer growable array of write-backs: cells [0, len). *)
+and wbs = { mutable cells : wb array; mutable len : int }
+
+(** One domain's persist state for one region.  [pending] and [stamp] are
+    only touched by the owning domain (and by a quiesced crash);
+    [deferred] is also drained by other domains' advances, so it is
+    appended and drained under the region mutex. *)
+and record = {
+  owner : int;  (** the owning domain's id *)
+  pending : wbs;  (** write-backs flushed and not yet fenced *)
+  deferred : wbs;  (** buffered persists not yet committed *)
+  mutable stamp : int;
+      (** the mark this record leaves on the lines it has in flight;
+          renewed by the fence that drains them (and by a crash) *)
+}
+
 let next_id = Atomic.make 0
 let next_line_uid = Atomic.make 0
+let next_stamp = Atomic.make 0
+let fresh_stamp () = Atomic.fetch_and_add next_stamp 1
+let empty_wbs () = { cells = Array.make 8 Nil; len = 0 }
 
 let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
     ?(elide = false) ?(epoch_len = 1) ?(slots_per_line = 1) () =
@@ -137,12 +168,11 @@ let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
     id = Atomic.fetch_and_add next_id 1;
     slots_per_line;
     lines = [];
-    domain_inflight = [];
     slot_resets = [];
     mutex = Mutex.create ();
     down = false;
     track_slots;
-    domain_pending = [];
+    records = [];
     elide;
     rng = Random.State.make [| seed |];
     runtime_evict_prob;
@@ -154,7 +184,7 @@ let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
     cur_epoch = 1;
     durable_epoch = 0;
     cur_count = 0;
-    domain_deferred = [];
+    batch = empty_wbs ();
     advancing = Atomic.make false;
   }
 
@@ -165,22 +195,26 @@ let elision t = t.elide
 let id t = t.id
 let slots_per_line t = t.slots_per_line
 
-(* Fences and epoch events have no slot identity; announce with the region
-   and the acting thread/domain (gated on [Hooks.access_on] at the call
-   site). *)
-let announce_region t op seq =
+(* Announce one structured access event by the acting thread/domain
+   (gated: call sites check [Hooks.access_on] first so the uninstrumented
+   path pays one load). *)
+let access op ~region ~slot ~pair ~line seq =
   Hooks.access_point
     {
       Hooks.a_op = op;
-      a_slot = -1;
-      a_pair = -1;
-      a_region = t.id;
+      a_slot = slot;
+      a_pair = pair;
+      a_region = region;
       a_domain = (Domain.self () :> int);
       a_tid = Hooks.tid ();
       a_seq = seq;
-      a_line = -1;
+      a_line = line;
       a_protocol = Hooks.in_protocol ();
     }
+
+(* Fences and epoch events have no slot identity. *)
+let announce_region t op seq =
+  access op ~region:t.id ~slot:(-1) ~pair:(-1) ~line:(-1) seq
 
 let check_up t =
   if t.down then
@@ -197,87 +231,194 @@ let register_slot t ?line reset =
   | None -> t.slot_resets <- reset :: t.slot_resets);
   Mutex.unlock t.mutex
 
-(* -- flush / fence ------------------------------------------------------- *)
+(* -- the persist record ---------------------------------------------------- *)
 
-(* The calling domain's per-region sets (pending write-backs, in-flight
-   lines, deferred persists).  The hot path (flush/fence) runs on every
-   instrumented access, so each lookup is a one-entry cache: a DLS record
-   remembering the last region this domain touched, making the common
-   case one DLS load plus an int compare — no hashing.  A domain
-   alternating between regions falls back to the private per-domain
-   table; a genuinely first touch registers the set with the region for
-   crash processing.
+(* The calling domain's record for [t].  The hot path (flush/fence) runs
+   on every instrumented access, so the lookup is a one-entry cache: a DLS
+   cell remembering the last region this domain touched, making the
+   common case one DLS load plus an int compare.  A domain alternating
+   between regions finds its record in the region's list (one per domain
+   that touched it; a domain's own registration precedes its lookups, so
+   an unlocked read sees it); a genuinely first touch registers one.
+   The region owns its records, so they die with it.
 
-   Registration publishes the set *after* it is linked into the region
-   under [t.mutex], and refuses a region that is down: [crash] holds the
-   same mutex while snapshotting the sets, so a first touch racing a
-   crash either lands before the snapshot (and is drained) or observes
-   [down] and raises — it can no longer register an orphan set whose
-   stale thunks a post-recovery fence would apply. *)
-type 'a region_cache = {
-  mutable c_id : int;  (** region id of [c_val]; [-1] when empty *)
-  mutable c_val : 'a;
-  c_tbl : (int, 'a) Hashtbl.t;  (** every region this domain touched *)
-}
+   Registration links the record into the region under [t.mutex], and
+   refuses a region that is down: [crash] holds the same mutex while
+   draining the records, so a first touch racing a crash either lands
+   before the drain (and is drained) or observes [down] and raises — it
+   can never register an orphan record whose stale write-backs a
+   post-recovery fence would apply. *)
+type cache = { mutable c_id : int; mutable c_rec : record }
 
-let refuse_down t =
-  Mutex.unlock t.mutex;
-  invalid_arg "Mirror_nvm.Region: access to a crashed region before recovery"
+let fresh_record owner =
+  let stamp = fresh_stamp () in
+  { owner; pending = empty_wbs (); deferred = empty_wbs (); stamp }
 
-let cache_key fresh =
-  Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = fresh (); c_tbl = Hashtbl.create 8 })
+let cache_key =
+  Domain.DLS.new_key (fun () -> { c_id = -1; c_rec = fresh_record (-1) })
 
-(* The calling domain's set for [t]; a first touch makes it with [fresh]
-   and [link]s it into the region. *)
-let mine key t fresh link =
-  let c = Domain.DLS.get key in
-  if c.c_id = t.id then c.c_val
+let mine t =
+  let c = Domain.DLS.get cache_key in
+  if c.c_id = t.id then c.c_rec
   else begin
-    let v =
-      match Hashtbl.find_opt c.c_tbl t.id with
-      | Some v -> v
+    let me = (Domain.self () :> int) in
+    let r =
+      match List.find_opt (fun r -> r.owner = me) t.records with
+      | Some r -> r
       | None ->
-          let v = fresh () in
-          Mutex.lock t.mutex;
-          if t.down then refuse_down t;
-          link t v;
-          Mutex.unlock t.mutex;
-          Hashtbl.add c.c_tbl t.id v;
-          v
+          let r = fresh_record me in
+          Mutex.protect t.mutex (fun () ->
+              check_up t;
+              t.records <- r :: t.records);
+          r
     in
     c.c_id <- t.id;
-    c.c_val <- v;
-    v
+    c.c_rec <- r;
+    r
   end
 
-let pending_key : (unit -> unit) list ref region_cache Domain.DLS.key =
-  cache_key (fun () -> ref [])
+let push s w =
+  if s.len = Array.length s.cells then begin
+    let cells = Array.make (2 * s.len) Nil in
+    Array.blit s.cells 0 cells 0 s.len;
+    s.cells <- cells
+  end;
+  s.cells.(s.len) <- w;
+  s.len <- s.len + 1
 
-let my_pending t =
-  mine pending_key t (fun () -> ref []) (fun t r ->
-      t.domain_pending <- r :: t.domain_pending)
+(* Hand every write-back to [f], newest first, clearing each cell first so
+   a drained array keeps nothing alive. *)
+let drain s f =
+  for i = s.len - 1 downto 0 do
+    let w = s.cells.(i) in
+    s.cells.(i) <- Nil;
+    f w
+  done;
+  s.len <- 0
 
-(** Record a write-back thunk.  The snapshot semantics (what value gets
-    persisted) is the caller's business: {!Slot.flush} captures the cache
-    content at flush time, which is a legal write-back instant. *)
-let add_pending t thunk =
-  let r = my_pending t in
-  r := thunk :: !r
+(* -- slots' media --------------------------------------------------------- *)
+
+let announce_slot s op ~seq =
+  let line = match s.line with Some l -> l.l_uid | None -> -1 in
+  access op ~region:s.region.id ~slot:s.uid ~pair:s.pair ~line seq
+
+(* [covers e front]: some entry of [front] dominates [e] ([ver >=] and
+   [ep <=]).  Only the entries with [ver >= e.ver] — a prefix — can. *)
+let rec covers e = function
+  | p :: rest when p.ver >= e.ver -> p.ep <= e.ep || covers e rest
+  | _ -> false
+
+(* The front down to its first entry at or below [de]: that entry is the
+   only one of the durable suffix a crash can restore, now or after any
+   later advance ([durable_epoch] never decreases).  The front itself
+   when there is nothing to drop. *)
+let rec cut de = function
+  | p :: rest as front ->
+      if p.ep > de then
+        let kept = cut de rest in
+        if kept == rest then front else p :: kept
+      else if rest == [] then front
+      else [ p ]
+  | [] -> []
+
+(* Skip the entries [e] dominates once the newer ones are behind: they are
+   the ones with [ep >= e.ep] at the head of the rest. *)
+let rec evict ep = function
+  | p :: rest when p.ep >= ep -> evict ep rest
+  | rest -> rest
+
+let rec restorable de = function
+  | p :: rest -> if p.ep <= de then Some p else restorable de rest
+  | [] -> None
+
+exception Dominated
+
+(* One pass over the front: the entries newer than [e] stay ahead of it,
+   [e] evicts the entries it dominates, and the result is cut at [de].
+   Raises [Dominated] when the front already dominates [e] — checked to
+   the end even past the cut, so the answer is the uncut front's. *)
+let rec rebuild de e = function
+  | p :: rest when p.ver > e.ver ->
+      if p.ep <= e.ep then raise_notrace Dominated
+      else if p.ep > de then p :: rebuild de e rest
+      else if covers e rest then raise_notrace Dominated
+      else [ p ] (* [e] falls below the restorable entry: cut with it *)
+  | rest ->
+      if covers e rest then raise_notrace Dominated
+      else if e.ep <= de then [ e ]
+      else e :: cut de (evict e.ep rest)
+
+let offer ~durable front e =
+  match rebuild durable e front with
+  | front -> Some front
+  | exception Dominated -> None
+
+(* Write-backs stay monotone per (version, epoch): an offer is dropped when
+   the front already dominates it; otherwise it joins the front and evicts
+   the entries it dominates.  On strict slots (all [ep = 0]) this is
+   exactly the old max-version rule. *)
+let rec persist s e =
+  let old = Atomic.get s.persisted in
+  match rebuild s.region.durable_epoch e old with
+  | front ->
+      if not (Atomic.compare_and_set s.persisted old front) then persist s e
+  | exception Dominated -> ()
+
+(* The advance's cut of a committed front at the new durable epoch; a
+   concurrent write-back may replace the front under it, so retry. *)
+let rec recut s de =
+  let old = Atomic.get s.persisted in
+  let front = cut de old in
+  if front != old && not (Atomic.compare_and_set s.persisted old front) then
+    recut s de
+
+(* NUMA accounting: a charged NVMM access whose memory is homed on another
+   domain pays the remote-line surcharge.  With the knob at its default 0
+   this is a single int load and comparison — no counter moves, so every
+   uniform-memory count stays bit-identical. *)
+let charge_remote s =
+  if Latency.numa_remote_ns () > 0 && Hooks.tid () <> s.home then begin
+    let st = Stats.get () in
+    st.Stats.nvm_remote <- st.Stats.nvm_remote + 1;
+    Latency.remote ()
+  end
+
+(* A redundant write-back skipped under elision, announced with the
+   version found durable. *)
+let flush_elided s seq =
+  Hooks.persist_point Hooks.Flush_elided;
+  let st = Stats.get () in
+  st.Stats.flush_elided <- st.Stats.flush_elided + 1;
+  if !Hooks.access_on then announce_slot s Hooks.A_flush_elided ~seq
+
+(* The persist event and cost of a charged [clwb]. *)
+let flush_charged s =
+  Hooks.persist_point Hooks.Flush;
+  let st = Stats.get () in
+  st.Stats.flush <- st.Stats.flush + 1;
+  Latency.flush ();
+  charge_remote s
+
+(* Record [w] in the calling domain's pending set and announce it. *)
+let pend s w seq =
+  push (mine s.region).pending w;
+  if !Hooks.access_on then announce_slot s Hooks.A_flush ~seq
+
+let write_back s e = pend s (Wb (s, e)) e.ver
+
+(** Write back every member's current content — what draining the line's
+    pending flush (or a runtime eviction of the line) does. *)
+let line_persist_members l =
+  List.iter (fun (M s) -> persist s (Atomic.get s.current)) l.l_members
+
+(* Apply one write-back: the snapshot it carries, or the line members'
+   current content. *)
+let apply = function
+  | Wb (s, e) -> persist s e
+  | Line l -> line_persist_members l
+  | Nil -> ()
 
 (* -- cache lines ---------------------------------------------------------- *)
-
-(* The calling domain's in-flight line set (line uids flushed but not yet
-   fenced by this domain).  Per-domain because a fence only orders the
-   issuing CPU's own [clwb]s: a line another domain flushed is not in
-   flight for us. *)
-let inflight_key : (int, unit) Hashtbl.t region_cache Domain.DLS.key =
-  cache_key (fun () -> Hashtbl.create 0)
-
-let my_inflight t =
-  mine inflight_key t
-    (fun () -> Hashtbl.create 8)
-    (fun t h -> t.domain_inflight <- h :: t.domain_inflight)
 
 (** Carve a fresh cache line and claim its first slot.  [None] when the
     region is slot-granular ([slots_per_line = 1]): no lines exist, every
@@ -292,6 +433,7 @@ let place t =
         l_filled = 1;
         l_members = [];
         l_resets = [];
+        l_mark = -1;
       }
     in
     if t.track_slots then begin
@@ -318,39 +460,40 @@ let place_near t near =
 let line_uid l = l.l_uid
 let line_home l = l.l_home
 
-(** Register a member slot with its line: [persist] write-backs the slot's
-    current content (called when the line's pending flush drains or the
-    line is evicted). *)
-let line_add_member t l persist =
-  Mutex.lock t.mutex;
-  l.l_members <- persist :: l.l_members;
-  Mutex.unlock t.mutex
-
-(** Write back every member's current content — what draining the line's
-    pending flush (or a runtime eviction of the line) does. *)
-let line_persist_members l = List.iter (fun p -> p ()) l.l_members
+(** Register a slot with its line, if it has one: the line's write-back
+    persists the slot's current content. *)
+let line_add_member s =
+  match s.line with
+  | Some l ->
+      Mutex.lock s.region.mutex;
+      l.l_members <- M s :: l.l_members;
+      Mutex.unlock s.region.mutex
+  | None -> ()
 
 (** Is [l] in flight for the calling domain (flushed, not yet fenced)?  A
-    flush of an in-flight line is absorbed by the pending write-back. *)
-let line_in_flight t l = Hashtbl.mem (my_inflight t) l.l_uid
+    flush of an in-flight line is absorbed by the pending write-back.  A
+    line carries one mark, so when two domains flush it between their
+    fences it stays in flight for the later one only: the earlier one's
+    next flush of it is charged again (conservative, never unsound). *)
+let line_in_flight t l = l.l_mark = (mine t).stamp
 
 (** Mark [l] flushed by the calling domain: the first mark records one
     pending write-back covering the whole line (member content captured
     when the fence drains — a legal write-back instant, and the latest
     one); subsequent marks before the fence are the coalescing no-op. *)
 let mark_line_flushed t l =
-  let h = my_inflight t in
-  if not (Hashtbl.mem h l.l_uid) then begin
-    Hashtbl.add h l.l_uid ();
-    add_pending t (fun () -> line_persist_members l)
+  let r = mine t in
+  if l.l_mark <> r.stamp then begin
+    l.l_mark <- r.stamp;
+    push r.pending (Line l)
   end
 
 (** [sfence]: all write-backs recorded by the calling domain are now
     guaranteed persistent.  With elision on, a fence that has nothing
     pending is a free no-op ([fence_elided]). *)
 let fence t =
-  let r = my_pending t in
-  if t.elide && !r = [] then begin
+  let r = mine t in
+  if t.elide && r.pending.len = 0 then begin
     Hooks.persist_point Hooks.Fence_elided;
     let s = Stats.get () in
     s.Stats.fence_elided <- s.Stats.fence_elided + 1;
@@ -362,35 +505,22 @@ let fence t =
     let s = Stats.get () in
     s.Stats.fence <- s.Stats.fence + 1;
     Latency.fence ();
-    let thunks = !r in
-    r := [];
-    if t.slots_per_line > 1 then Hashtbl.reset (my_inflight t);
-    List.iter (fun f -> f ()) thunks;
+    drain r.pending apply;
+    if t.slots_per_line > 1 then r.stamp <- fresh_stamp ();
     if !Hooks.access_on then announce_region t Hooks.A_fence (-1);
     Hooks.yield ()
   end
 
-(* Records across every domain's sets (introspection). *)
-let count_sets t sets =
+(* Write-backs across every domain's records of one kind (introspection). *)
+let count t kind =
   Mutex.lock t.mutex;
-  let n = List.fold_left (fun acc r -> acc + List.length !r) 0 (sets t) in
+  let n = List.fold_left (fun acc r -> acc + (kind r).len) 0 t.records in
   Mutex.unlock t.mutex;
   n
 
-let pending_count t = count_sets t (fun t -> t.domain_pending)
+let pending_count t = count t (fun r -> r.pending)
 
 (* -- buffered persistence: the epoch clock -------------------------------- *)
-
-(* The calling domain's deferred set.  Unlike pending write-backs,
-   deferred sets are also drained by *other* domains (help-advance), so
-   every append and drain is under the region mutex — short sections,
-   never across a yield. *)
-let deferred_key : deferred list ref region_cache Domain.DLS.key =
-  cache_key (fun () -> ref [])
-
-let my_deferred t =
-  mine deferred_key t (fun () -> ref []) (fun t r ->
-      t.domain_deferred <- r :: t.domain_deferred)
 
 let cur_epoch t = t.cur_epoch
 let durable_epoch t = t.durable_epoch
@@ -400,85 +530,120 @@ let set_epoch_len t n =
   if n < 1 then invalid_arg "Mirror_nvm.Region.set_epoch_len: n < 1";
   t.epoch_len <- n
 
-let deferred_count t = count_sets t (fun t -> t.domain_deferred)
+let deferred_count t = count t (fun r -> r.deferred)
+
+(* Deferred write-backs order by slot, the newest version first. *)
+let by_slot a b =
+  match (a, b) with
+  | Wb (s, e), Wb (s', e') ->
+      if s.uid <> s'.uid then Int.compare s.uid s'.uid
+      else Int.compare e'.ver e.ver
+  | _ -> 0
+
+let same_slot a b =
+  match (a, b) with Wb (s, _), Wb (s', _) -> s.uid = s'.uid | _ -> false
+
+(* Shell sort of cells [0, len): in place, so sorting allocates nothing.
+   Equal keys are the same snapshot (a slot's versions are unique between
+   crashes, and a crash empties the deferred sets), so stability does not
+   matter. *)
+let sort s =
+  let a = s.cells and gap = ref (s.len / 2) in
+  while !gap > 0 do
+    let g = !gap in
+    for i = g to s.len - 1 do
+      let x = a.(i) and j = ref i in
+      while !j >= g && by_slot a.(!j - g) x > 0 do
+        a.(!j) <- a.(!j - g);
+        j := !j - g
+      done;
+      a.(!j) <- x
+    done;
+    gap := if g = 2 then 1 else g * 5 / 11
+  done
+
+(* The advancer's flush of a deferred snapshot: the charged-cost twin of
+   {!Slot.flush}, but over the snapshot captured at record time, not
+   whatever the slot holds by now.  Elision applies when the front already
+   covers the snapshot (e.g. spontaneous eviction beat the advance to it).
+   The pending write-back is the deferred one itself. *)
+let flush_snapshot = function
+  | Wb (s, e) as w ->
+      if s.region.elide && covers e (Atomic.get s.persisted) then
+        flush_elided s e.ver
+      else begin
+        flush_charged s;
+        pend s w e.ver
+      end;
+      Hooks.yield ()
+  | _ -> ()
 
 (** Commit every epoch up to [target]: close the open epoch if [target]
-    includes it, drain all domains' deferred records tagged [<= target],
-    flush the newest snapshot per slot, fence once, then bump the durable
-    epoch (a recovery-write: the single-word bump is ordered after the
-    fence and never tears).  Nonblocking help protocol: whoever fails the
-    [advancing] claim just returns — a buffered completion never waits for
-    durability, and a straggler epoch is drained by the next advance. *)
+    includes it, take all domains' deferred write-backs, flush the newest
+    snapshot per slot, fence once, bump the durable epoch (a
+    recovery-write: the single-word bump is ordered after the fence and
+    never tears), then cut each flushed slot's front at the new durable
+    epoch.  A write-back tagged with an epoch above [target] (recorded
+    after a concurrent advance moved the clock) is flushed early; like an
+    eviction, its entry stays above the cut until its own epoch commits.
+    Nonblocking help protocol: whoever fails the [advancing] claim just
+    returns — a buffered completion never waits for durability, and a
+    straggler epoch is drained by the next advance. *)
 let advance_to t ~target =
+  let batch = t.batch in
   if Atomic.compare_and_set t.advancing false true then
     Fun.protect
-      ~finally:(fun () -> Atomic.set t.advancing false)
+      ~finally:(fun () ->
+        drain batch ignore;
+        Atomic.set t.advancing false)
       (fun () ->
         Mutex.lock t.mutex;
         if target >= t.cur_epoch then begin
           t.cur_epoch <- target + 1;
           t.cur_count <- 0
         end;
-        (* later domains' records first, each domain's newest first *)
-        let taken = ref [] in
-        List.iter
-          (fun r ->
-            let keep, take =
-              if List.for_all (fun d -> d.d_epoch <= target) !r then ([], !r)
-              else List.partition (fun d -> d.d_epoch > target) !r
-            in
-            r := keep;
-            if take <> [] then taken := take :: !taken)
-          t.domain_deferred;
+        List.iter (fun r -> drain r.deferred (push batch)) t.records;
         Mutex.unlock t.mutex;
-        let records =
-          Array.of_list
-            (match !taken with [ l ] -> l | chunks -> List.concat chunks)
-        in
+        let n = batch.len and a = batch.cells in
+        (* newest version per slot, flushed in uid order: batching turns n
+           persists of one line into one flush *)
+        if n > 0 then begin
+          if !Hooks.access_on then announce_region t Hooks.A_epoch_close target;
+          sort batch;
+          for i = 0 to n - 1 do
+            if i = 0 || not (same_slot a.(i - 1) a.(i)) then
+              flush_snapshot a.(i)
+          done;
+          let s = Stats.get () in
+          s.Stats.fence_batched <- s.Stats.fence_batched + 1;
+          fence t
+        end;
         if target > t.durable_epoch then begin
-          (if Array.length records > 0 then begin
-             if !Hooks.access_on then
-               announce_region t Hooks.A_epoch_close target;
-             (* newest version per slot, flushed in uid order: batching
-                turns n persists of one line into one flush.  The sort is
-                stable, so a version recorded twice keeps its first record
-                in [records]. *)
-             Array.stable_sort
-               (fun a b ->
-                 if a.d_uid <> b.d_uid then Int.compare a.d_uid b.d_uid
-                 else Int.compare b.d_ver a.d_ver)
-               records;
-             Array.iteri
-               (fun i d ->
-                 if i = 0 || records.(i - 1).d_uid <> d.d_uid then d.d_flush ())
-               records;
-             let s = Stats.get () in
-             s.Stats.fence_batched <- s.Stats.fence_batched + 1;
-             fence t
-           end);
           Hooks.persist_point Hooks.Epoch_bump;
           t.durable_epoch <- target;
           let s = Stats.get () in
           s.Stats.epoch_advance <- s.Stats.epoch_advance + 1;
-          if !Hooks.access_on then
-            announce_region t Hooks.A_epoch_bump target;
+          if !Hooks.access_on then announce_region t Hooks.A_epoch_bump target;
+          (* the superseded entries the flushes left below the new cut *)
+          drain batch (function Wb (s, _) -> recut s target | _ -> ());
           Hooks.yield ()
         end)
 
-(** Record one deferred persist into the open epoch; triggers a synchronous
-    advance when the epoch is full ([epoch_len] deferred persists).  The
-    [flush] thunk must persist a snapshot captured at record time. *)
-let record_deferred t ~uid ~ver ~flush =
+(** Record one deferred persist of [s]'s snapshot [e] into the open
+    epoch; triggers a synchronous advance when the epoch is full
+    ([epoch_len] deferred persists). *)
+let record_deferred s e =
+  let t = s.region in
   check_up t;
-  let r = my_deferred t in
+  let r = mine t in
   Mutex.lock t.mutex;
-  r := { d_epoch = t.cur_epoch; d_uid = uid; d_ver = ver; d_flush = flush } :: !r;
+  push r.deferred (Wb (s, e));
   t.cur_count <- t.cur_count + 1;
   let full = t.cur_count >= t.epoch_len in
   let target = t.cur_epoch in
   Mutex.unlock t.mutex;
-  let s = Stats.get () in
-  s.Stats.writes_deferred <- s.Stats.writes_deferred + 1;
+  let st = Stats.get () in
+  st.Stats.writes_deferred <- st.Stats.writes_deferred + 1;
   if full then advance_to t ~target
 
 let help_advance t =
@@ -520,28 +685,23 @@ let crash ?(policy = Adversarial) t =
   Mutex.lock t.mutex;
   t.crashes <- t.crashes + 1;
   t.down <- true;
-  (* 1. un-fenced flushes (every domain's): apply the policy *)
-  let thunks =
-    List.concat_map
-      (fun r ->
-        let l = !r in
-        r := [];
-        l)
-      t.domain_pending
-  in
   let survive () =
     match policy with
     | Adversarial -> false
     | Eviction p -> Random.State.float t.rng 1.0 < p
   in
-  List.iter (fun f -> if survive () then f ()) thunks;
-  (* 1a. in-flight line marks die with the cache *)
-  List.iter Hashtbl.reset t.domain_inflight;
-  (* 1b. buffered epochs: the deferred sets die with the cache, and the
-     epoch clock restarts just past the durable slot.  Writes from epochs
-     the durable slot does not cover are pruned by the slot resets below
-     (each consults [durable_epoch]). *)
-  List.iter (fun r -> r := []) t.domain_deferred;
+  List.iter
+    (fun r ->
+      (* 1. un-fenced flushes (every domain's): apply the policy *)
+      drain r.pending (fun w -> if survive () then apply w);
+      (* 1a. in-flight line marks die with the cache *)
+      r.stamp <- fresh_stamp ();
+      (* 1b. buffered epochs: the deferred sets die with the cache *)
+      drain r.deferred ignore)
+    t.records;
+  (* ... and the epoch clock restarts just past the durable slot.  Writes
+     from epochs the durable slot does not cover are pruned by the slot
+     resets below (each consults [durable_epoch]). *)
   t.cur_count <- 0;
   t.cur_epoch <- t.durable_epoch + 1;
   Atomic.set t.advancing false;

@@ -8,7 +8,9 @@
     [runtime_evict_prob] simulates spontaneous cache eviction (an algorithm
     must tolerate *more* than it flushed becoming durable).
 
-    Pending write-backs live in per-domain sets.  When elision mode is on
+    Each domain keeps one persist record per region (its pending
+    write-backs, in-flight line marks and deferred persists, as
+    (slot, snapshot) pairs — no closure per flush).  When elision mode is on
     ([elide]), a {!fence} whose domain has nothing pending and a
     {!Slot.flush} of a clean line are free no-ops, counted in
     {!Stats.t.fence_elided} / {!Stats.t.flush_elided} — the redundant-persist
@@ -27,6 +29,27 @@ type line
     carved from the same line share their write-back — a flush of a line
     already in flight is absorbed ([flush_coalesced]) — and their crash
     fate (one survival draw for all members). *)
+
+type 'a entry = { v : 'a; ver : int; ep : int }
+(** One immutable write, re-exported as {!Slot.entry}. *)
+
+(** The record behind {!Slot.t}, declared here so that a pending
+    write-back names its slot and snapshot without a closure.  Build and
+    use slots through {!Slot} only. *)
+type 'a slot = {
+  region : t;
+  uid : int;
+  pair : int;
+  line : line option;
+  buffered : bool;
+  home : int;
+  current : 'a entry Atomic.t;
+  persisted : 'a entry list Atomic.t;
+      (** the media history: a Pareto front over (version high, epoch
+          low), newest first, cut at the durable epoch — see
+          docs/MODEL.md, "Media history bound" *)
+  mutable lost : bool;
+}
 
 val create :
   ?track_slots:bool ->
@@ -77,9 +100,41 @@ val register_slot : t -> ?line:line -> (persist_first:bool -> unit) -> unit
     shares the line's one survival draw.  Callers register only on regions
     that {!tracks_slots}. *)
 
-val add_pending : t -> (unit -> unit) -> unit
-(** Record a write-back thunk in the calling domain's pending set (used by
-    {!Slot.flush}). *)
+(** {1 Slots' media and write-backs}
+
+    The write-back machinery behind {!Slot}: each domain keeps one persist
+    record per region (pending write-backs, in-flight line marks, deferred
+    persists), and a write-back is a (slot, snapshot) pair in it. *)
+
+val announce_slot : 'a slot -> Hooks.access_op -> seq:int -> unit
+(** Announce one access event attributed to a slot ({!Slot.announce}). *)
+
+val charge_remote : 'a slot -> unit
+(** Charge the NUMA remote-line surcharge when the calling thread is not
+    the slot's home (a no-op at the default [numa_remote_ns = 0]). *)
+
+val persist : 'a slot -> 'a entry -> unit
+(** Offer a write-back to the slot's media history (monotone: a dominated
+    offer is dropped). *)
+
+val restorable : int -> 'a entry list -> 'a entry option
+(** The entry of a media history that a crash at the given durable epoch
+    restores. *)
+
+val offer : durable:int -> 'a entry list -> 'a entry -> 'a entry list option
+(** {!persist}'s rule on a bare history ({!Slot.offer}). *)
+
+val flush_elided : 'a slot -> int -> unit
+(** Count and announce a flush skipped by elision (the version found
+    durable). *)
+
+val flush_charged : 'a slot -> unit
+(** The persist event and cost of a charged [clwb]. *)
+
+val write_back : 'a slot -> 'a entry -> unit
+(** Record the write-back of a snapshot in the calling domain's pending
+    set (the first touch of a down region raises) and announce the
+    flush. *)
 
 (** {1 Cache lines}
 
@@ -109,10 +164,10 @@ val line_home : line -> int
     it.  Accesses from other threads pay the NUMA remote-line surcharge
     when {!Latency.numa_remote_ns} is non-zero. *)
 
-val line_add_member : t -> line -> (unit -> unit) -> unit
-(** Register a member slot's write-back of its current content, run when
-    the line's pending flush drains (or the line is evicted).  Its crash
-    reset goes through {!register_slot}. *)
+val line_add_member : 'a slot -> unit
+(** Register a slot with its line, if it has one: the line's pending flush
+    (or an eviction of the line) writes back the slot's current content.
+    Its crash reset goes through {!register_slot}. *)
 
 val line_persist_members : line -> unit
 (** Write back every member's current content (runtime eviction of the
@@ -146,7 +201,8 @@ val evict_hit : t -> bool
     buffered slots record their persists into the open epoch's per-domain
     deferred set instead of flushing, and a nonblocking advancer commits
     whole epochs at once — flush the newest snapshot per dirty slot, one
-    fence, then bump the persistent durable-epoch slot.  Recovery keeps
+    fence, bump the persistent durable-epoch slot, then cut the flushed
+    slots' media histories at the new durable epoch.  Recovery keeps
     exactly the writes tagged [<= durable_epoch]: a consistent cut at an
     epoch boundary, trading strict durability for bounded staleness.  See
     docs/MODEL.md, "Buffered persistence semantics". *)
@@ -166,17 +222,17 @@ val deferred_count : t -> int
 (** Deferred records not yet committed, across all domains
     (introspection). *)
 
-val record_deferred :
-  t -> uid:int -> ver:int -> flush:(unit -> unit) -> unit
-(** Record one deferred persist ([flush] must persist a snapshot captured
-    at record time); triggers a synchronous epoch advance once the open
-    epoch holds [epoch_len] records.  Used by {!Slot.persist_deferred}. *)
+val record_deferred : 'a slot -> 'a entry -> unit
+(** Record one deferred persist of the slot's snapshot (captured at record
+    time; its epoch tag decides which advance commits it); triggers a
+    synchronous epoch advance once the open epoch holds [epoch_len]
+    records.  Used by {!Slot.persist_deferred}. *)
 
 val help_advance : t -> unit
 (** Close the open epoch and commit everything up to it — flush, one
-    fence, durable-epoch bump.  Nonblocking: if another advance is in
-    flight this returns immediately (the straggler epoch is drained by the
-    next advance). *)
+    fence, durable-epoch bump, cut of the flushed fronts.  Nonblocking: if
+    another advance is in flight this returns immediately (the straggler
+    epoch is drained by the next advance). *)
 
 val quiesce : t -> unit
 (** Drive advances until nothing deferred is outstanding and the durable

@@ -12,14 +12,16 @@
 
     Slots charge NVMM access costs ({!Latency}) and events ({!Stats}), and
     call {!Hooks.yield} at each atomic step so the deterministic scheduler
-    can interleave them. *)
+    can interleave them.  The media history's rules and the write-back
+    machinery (pending and deferred write-backs, the epoch advance) live
+    in {!Region}, which declares the slot record. *)
 
-type 'a entry = { v : 'a; ver : int; ep : int }
+type 'a entry = 'a Region.entry = { v : 'a; ver : int; ep : int }
 (** [ep] is the epoch that produced the write: [0] for strict slots
     (immediately committable), the region's open epoch for buffered slots.
     Crash recovery keeps only entries tagged [<= Region.durable_epoch]. *)
 
-type 'a t = {
+type 'a t = 'a Region.slot = {
   region : Region.t;
   uid : int;  (** global location identity, for access-event attribution *)
   pair : int;  (** owning Mirror pair uid, [-1] when not a replica *)
@@ -45,10 +47,11 @@ type 'a t = {
           entry has both [ver >=] and [ep <=] it, so epochs fall along the
           list too.  The list is cut at the durable epoch: of the entries
           tagged [<= Region.durable_epoch] (a suffix) only the first — the
-          one a crash restores — is kept.  Strict slots (all [ep = 0])
-          therefore hold at most one entry, the old single [persisted]
-          word; buffered slots hold the committed entry plus one per
-          uncommitted epoch. *)
+          one a crash restores — is kept, by every write-back and again by
+          the advance that commits the entry's epoch.  A committed front
+          is therefore one entry, on strict slots (all [ep = 0]) and
+          buffered slots alike; only writes in uncommitted epochs add one
+          entry per such epoch. *)
   mutable lost : bool;
       (** set when a crash hits a slot that was never persisted: its
           post-crash content is garbage, and any access is a detected bug *)
@@ -59,80 +62,7 @@ let next_uid = Atomic.make 0
 (* The epoch tag for a fresh write on this slot. *)
 let write_epoch t = if t.buffered then Region.cur_epoch t.region else 0
 
-(* Announce one structured access event (gated: call sites check
-   [Hooks.access_on] first so the uninstrumented path pays one load). *)
-let announce t op ~seq =
-  Hooks.access_point
-    {
-      Hooks.a_op = op;
-      a_slot = t.uid;
-      a_pair = t.pair;
-      a_region = Region.id t.region;
-      a_domain = (Domain.self () :> int);
-      a_tid = Hooks.tid ();
-      a_seq = seq;
-      a_line =
-        (match t.line with Some l -> Region.line_uid l | None -> -1);
-      a_protocol = Hooks.in_protocol ();
-    }
-
-(* [covers e front]: some entry of [front] dominates [e] ([ver >=] and
-   [ep <=]).  Only the entries with [ver >= e.ver] — a prefix — can. *)
-let rec covers e = function
-  | p :: rest when p.ver >= e.ver -> p.ep <= e.ep || covers e rest
-  | _ -> false
-
-(* The front down to its first entry at or below [de]: that entry is the
-   only one of the durable suffix a crash can restore, now or after any
-   later advance ([durable_epoch] never decreases). *)
-let rec cut de = function
-  | p :: rest -> if p.ep <= de then [ p ] else p :: cut de rest
-  | [] -> []
-
-(* Skip the entries [e] dominates once the newer ones are behind: they are
-   the ones with [ep >= e.ep] at the head of the rest. *)
-let rec evict ep = function
-  | p :: rest when p.ep >= ep -> evict ep rest
-  | rest -> rest
-
-(* The entry a crash restores: the first one at or below [de]. *)
-let rec restorable de = function
-  | p :: rest -> if p.ep <= de then Some p else restorable de rest
-  | [] -> None
-
-exception Dominated
-
-(* One pass over the front: the entries newer than [e] stay ahead of it,
-   [e] evicts the entries it dominates, and the result is cut at [de].
-   Raises [Dominated] when the front already dominates [e] — checked to
-   the end even past the cut, so the answer is the uncut front's. *)
-let rec rebuild de e = function
-  | p :: rest when p.ver > e.ver ->
-      if p.ep <= e.ep then raise_notrace Dominated
-      else if p.ep > de then p :: rebuild de e rest
-      else if covers e rest then raise_notrace Dominated
-      else [ p ] (* [e] falls below the restorable entry: cut with it *)
-  | rest ->
-      if covers e rest then raise_notrace Dominated
-      else if e.ep <= de then [ e ]
-      else e :: cut de (evict e.ep rest)
-
-let offer ~durable front e =
-  match rebuild durable e front with
-  | front -> Some front
-  | exception Dominated -> None
-
-(* Write-backs stay monotone per (version, epoch): an offer is dropped when
-   the front already dominates it; otherwise it joins the front and evicts
-   the entries it dominates.  On strict slots (all [ep = 0]) this is
-   exactly the old max-version rule. *)
-let rec persist_monotone t (e : 'a entry) =
-  let old = Atomic.get t.persisted in
-  match rebuild (Region.durable_epoch t.region) e old with
-  | front ->
-      if not (Atomic.compare_and_set t.persisted old front) then
-        persist_monotone t e
-  | exception Dominated -> ()
+let announce = Region.announce_slot
 
 let persisted_entry t =
   match Atomic.get t.persisted with [] -> None | p :: _ -> Some p
@@ -143,12 +73,12 @@ let persisted_entry t =
    not cover are discarded even if they physically reached the media —
    they may be part of an inconsistent (torn-epoch) state. *)
 let reset t ~persist_first =
-  if persist_first then persist_monotone t (Atomic.get t.current);
+  if persist_first then Region.persist t (Atomic.get t.current);
   let de = Region.durable_epoch t.region in
   let hist = Atomic.get t.persisted in
   (* epochs fall along the front: anything above the cut is a prefix *)
   let rolled_back = match hist with p :: _ -> p.ep > de | [] -> false in
-  match restorable de hist with
+  match Region.restorable de hist with
   | None ->
       Atomic.set t.persisted [];
       t.lost <- true;
@@ -184,11 +114,7 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
   in
   (* line membership: the line's write-back persists this slot's current
      content *)
-  (match line with
-  | Some l ->
-      Region.line_add_member region l (fun () ->
-          persist_monotone t (Atomic.get t.current))
-  | None -> ());
+  Region.line_add_member t;
   (* crash processing (a line member's reset shares the line's survival
      draw); untracked regions never reset a slot, so they get no closure *)
   if Region.tracks_slots region then
@@ -236,17 +162,6 @@ let check t =
       "Mirror_nvm.Slot: reading a slot whose content was lost in a crash \
        (never persisted): the recovery procedure reached unrecoverable data"
 
-(* NUMA accounting: a charged NVMM access whose memory is homed on another
-   domain pays the remote-line surcharge.  With the knob at its default 0
-   this is a single int load and comparison — no counter moves, so every
-   uniform-memory count stays bit-identical. *)
-let charge_remote t =
-  if Latency.numa_remote_ns () > 0 && Hooks.tid () <> t.home then begin
-    let s = Stats.get () in
-    s.Stats.nvm_remote <- s.Stats.nvm_remote + 1;
-    Latency.remote ()
-  end
-
 (** Load from NVMM (paying the 3x-DRAM read cost); the whole entry, so
     Mirror reads the value and its sequence number in one access. *)
 let load_entry t =
@@ -255,7 +170,7 @@ let load_entry t =
   let s = Stats.get () in
   s.Stats.nvm_read <- s.Stats.nvm_read + 1;
   Latency.nvm_read ();
-  charge_remote t;
+  Region.charge_remote t;
   let e = Atomic.get t.current in
   if !Hooks.access_on then announce t Hooks.A_load ~seq:e.ver;
   e
@@ -269,7 +184,7 @@ let wrote t op e =
   if Region.evict_hit t.region then
     match t.line with
     | Some l -> Region.line_persist_members l
-    | None -> persist_monotone t e
+    | None -> Region.persist t e
 
 (* The write loops are toplevel functions, so a write allocates its entry
    and nothing else.  Versions stay monotone under concurrency. *)
@@ -287,7 +202,7 @@ let store t v =
   let s = Stats.get () in
   s.Stats.nvm_write <- s.Stats.nvm_write + 1;
   Latency.nvm_write ();
-  charge_remote t;
+  Region.charge_remote t;
   store_loop t v
 
 let begin_cas t =
@@ -297,7 +212,7 @@ let begin_cas t =
   let s = Stats.get () in
   s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
   Latency.nvm_write ();
-  charge_remote t
+  Region.charge_remote t
 
 let cas_failed t cur =
   if !Hooks.access_on then announce t (Hooks.A_cas false) ~seq:cur.ver
@@ -359,27 +274,6 @@ let is_dirty t =
   | [] -> true
   | p :: _ -> p.ver < (Atomic.get t.current).ver
 
-(* A redundant write-back skipped under elision, announced with the
-   version found durable. *)
-let flush_elided t seq =
-  Hooks.persist_point Hooks.Flush_elided;
-  let s = Stats.get () in
-  s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-  if !Hooks.access_on then announce t Hooks.A_flush_elided ~seq
-
-(* The persist event and cost of a charged [clwb]. *)
-let flush_charged t =
-  Hooks.persist_point Hooks.Flush;
-  let s = Stats.get () in
-  s.Stats.flush <- s.Stats.flush + 1;
-  Latency.flush ();
-  charge_remote t
-
-(* Record the write-back of [snapshot] in the domain's pending set. *)
-let write_back t snapshot =
-  Region.add_pending t.region (fun () -> persist_monotone t snapshot);
-  if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
-
 (** [clwb]: record a write-back of the line's current content.  The value is
     guaranteed persistent only once a subsequent {!Region.fence} completes,
     but may reach the media spontaneously before that.
@@ -396,7 +290,7 @@ let flush t =
   Hooks.yield ();
   check t;
   if Region.elision t.region && not (is_dirty t) then begin
-    flush_elided t (Atomic.get t.current).ver;
+    Region.flush_elided t (Atomic.get t.current).ver;
     (* keep the line's in-flight state identical to the un-elided run (the
        charged flush below would have marked it): the mark only ever
        persists *more* at the fence, which a real cache may do anyway *)
@@ -417,27 +311,13 @@ let flush t =
           announce t Hooks.A_flush_coalesced
             ~seq:(Atomic.get t.current).ver
     | Some l ->
-        flush_charged t;
+        Region.flush_charged t;
         Region.mark_line_flushed t.region l;
         if !Hooks.access_on then
           announce t Hooks.A_flush ~seq:(Atomic.get t.current).ver
     | None ->
-        flush_charged t;
-        write_back t (Atomic.get t.current)
-
-(* The epoch advancer's flush of a deferred snapshot: the charged-cost
-   twin of {!flush}, but over the snapshot captured at record time (a
-   later advance must not persist younger-epoch content).  Elision applies
-   when the front already covers the snapshot (e.g. spontaneous eviction
-   beat the advance to it). *)
-let flush_snapshot t snapshot =
-  if Region.elision t.region && covers snapshot (Atomic.get t.persisted) then
-    flush_elided t snapshot.ver
-  else begin
-    flush_charged t;
-    write_back t snapshot
-  end;
-  Hooks.yield ()
+        Region.flush_charged t;
+        Region.write_back t (Atomic.get t.current)
 
 (** Buffered persist: record the current content into the open epoch's
     deferred set instead of flushing — free on the hot path (the epoch
@@ -448,13 +328,12 @@ let persist_deferred t =
   Hooks.yield ();
   check t;
   if Region.elision t.region && not (is_dirty t) then
-    flush_elided t (Atomic.get t.current).ver
+    Region.flush_elided t (Atomic.get t.current).ver
   else begin
     let snapshot = Atomic.get t.current in
     if !Hooks.access_on then
       announce t Hooks.A_persist_deferred ~seq:snapshot.ver;
-    Region.record_deferred t.region ~uid:t.uid ~ver:snapshot.ver
-      ~flush:(fun () -> flush_snapshot t snapshot)
+    Region.record_deferred t snapshot
   end
 
 (** Recovery write: store + immediate durability, usable while the region
@@ -478,7 +357,7 @@ let persisted_value t = Option.map (fun e -> e.v) (persisted_entry t)
     persisted entry from a committed epoch (test/recovery introspection). *)
 let durable_value t =
   let de = Region.durable_epoch t.region in
-  Option.map (fun p -> p.v) (restorable de (Atomic.get t.persisted))
+  Option.map (fun p -> p.v) (Region.restorable de (Atomic.get t.persisted))
 
 (** The coherent (cache) view, without charging costs — test-only. *)
 let peek_entry t = Atomic.get t.current
@@ -490,4 +369,5 @@ let uid t = t.uid
 let pair t = t.pair
 let line t = t.line
 
+let offer = Region.offer
 let history_length t = List.length (Atomic.get t.persisted)

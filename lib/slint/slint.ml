@@ -144,14 +144,17 @@ let owns_substrate rel = List.exists (fun d -> under d rel) substrate_owners
 let deterministic rel = List.exists (fun d -> under d rel) deterministic_dirs
 
 (* Region functions that touch the persistence data plane: writing back,
-   fencing, line placement and line bookkeeping.  Everything else on
-   Region (create, crash, recovery lifecycle, epoch observers) is the
-   simulator's control plane, legal from the harness and examples. *)
+   fencing, line placement and line bookkeeping, and the slot media
+   operations behind Slot.  Everything else on Region (create, crash,
+   recovery lifecycle, epoch observers, the pure media-history rules) is
+   the simulator's control plane, legal from the harness and examples. *)
 let region_data_plane =
   [
     "fence"; "place"; "place_near"; "line_add_member"; "line_persist_members";
     "line_in_flight"; "mark_line_flushed"; "record_deferred";
     "announce_region"; "advance_to"; "evict_hit"; "register_slot";
+    "write_back"; "persist"; "flush_charged"; "flush_elided";
+    "charge_remote"; "announce_slot";
   ]
 
 (* -- parsetree helpers ------------------------------------------------------ *)

@@ -7,6 +7,7 @@
 open Mirror_core
 module Sched = Mirror_schedsim.Sched
 module Region = Mirror_nvm.Region
+module Slot = Mirror_nvm.Slot
 
 let check = Support.check
 
@@ -470,7 +471,7 @@ let test_footprint () =
       ("strict", words_per_variable (), 29.);
       ( "buffered after one CAS",
         words_per_variable ~discipline:Patomic.Buffered ~cas:true (),
-        36. );
+        29. );
       ("strict on a tracked region", words_per_variable ~track:true (), 36.);
     ]
 
@@ -479,7 +480,7 @@ let test_footprint () =
    of the buffered gate in t_buffered.ml.  The count is exact for a fixed
    op count, so the bound is the measured total itself. *)
 let strict_words_ops = 20_000
-let strict_words_bound = 1_205_043
+let strict_words_bound = 1_130_208
 
 let strict_hash_words () =
   let module Sets = Mirror_dstruct.Sets in
@@ -515,6 +516,54 @@ let test_strict_words_gate () =
        w strict_words_ops
        (float_of_int w /. float_of_int strict_words_ops)
        strict_words_bound)
+
+(* Minor words [n] calls of [f] allocate, after [n] warm-up calls: the
+   first touch registers the domain's persist record for the region, and
+   its arrays grow to their working size. *)
+let words_of n f =
+  for _ = 1 to n do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  int_of_float (Gc.minor_words () -. w0)
+
+(* The persist rows of the layer ledger (perfbench --trace 1), exact on
+   one domain: a charged flush records one 3-word (slot, snapshot) pair
+   and the fence drains it in place; a deferred persist records one pair,
+   and the advance every 256th one triggers sorts, flushes and cuts in
+   place (28 words of closures per advance); a strict Mirror CAS
+   allocates 16 words, its write-back pair among them. *)
+let test_persist_path_words () =
+  let n = 2560 in
+  let region = Region.create ~track_slots:false () in
+  let slot = Slot.make ~persist:true region 0 in
+  let buffered = Region.create ~track_slots:false ~epoch_len:256 () in
+  let bslot = Slot.make ~persist:true ~buffered:true buffered 0 in
+  let p = Patomic.make region 0 and i = ref 0 in
+  List.iter
+    (fun (what, want, f) ->
+      Alcotest.(check int) (Printf.sprintf "%s: words over %d calls" what n)
+        want (words_of n f))
+    [
+      ( "flush + fence",
+        3 * n,
+        fun () ->
+          Slot.flush slot;
+          Region.fence region );
+      ( "persist_deferred",
+        (3 * n) + (28 * n / 256),
+        fun () -> Slot.persist_deferred bslot );
+      ( "Mirror CAS",
+        16 * n,
+        fun () ->
+          let v = !i in
+          i := v + 1;
+          if not (Patomic.cas p ~expected:v ~desired:(v + 1)) then
+            Alcotest.fail "cas failed" );
+    ]
 
 (* One block per write: after a quiesced strict CAS, the volatile replica,
    the persistent replica's coherent view and the head of its media
@@ -585,6 +634,8 @@ let suite =
           test_one_block_per_write;
         Alcotest.test_case "strict hash words gate" `Quick
           test_strict_words_gate;
+        Alcotest.test_case "persist path words" `Quick
+          test_persist_path_words;
         Alcotest.test_case "untracked crash invalidates" `Quick
           test_untracked_crash_invalidates;
       ] );

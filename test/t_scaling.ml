@@ -222,18 +222,22 @@ module R = Mirror_nvm.Region
 module S = Mirror_nvm.Slot
 
 (* A first touch of a down region must raise instead of silently
-   registering an orphan pending set (whose stale thunks a post-recovery
-   fence would apply).  The main domain has never touched this fresh
-   region, so its fence is a first touch. *)
+   registering an orphan persist record (whose stale write-backs a
+   post-recovery fence would apply).  The main domain has never touched
+   this fresh region, so recording a line write-back — the one write-back
+   path that does not check the region first — is a first touch, and so
+   is its fence. *)
 let test_down_first_touch_rejected () =
-  let region = R.create ~track_slots:false () in
+  let region = R.create ~track_slots:false ~slots_per_line:2 () in
+  let line = Option.get (R.place region) in
   R.crash region;
   check
     (try
-       R.add_pending region (fun () -> ());
+       R.mark_line_flushed region line;
        false
      with Invalid_argument _ -> true)
-    "first-touch add_pending on a down region raises";
+    "first-touch line write-back on a down region raises";
+  check (R.pending_count region = 0) "and leaves nothing pending";
   check
     (try
        R.fence region;
